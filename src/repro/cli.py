@@ -97,9 +97,9 @@ from repro.sim.shard import (
 
 def _exhibits() -> tuple[str, ...]:
     """The regenerable exhibits (``--figure``/``--exhibit`` choices of
-    ``run`` and ``shard``): the paper figures plus the scenario sweeps
-    registered *at call time* — computed lazily so a scenario registered
-    after this module imported still dispatches through the CLI."""
+    ``run`` and ``shard``): every exhibit registered *at call time* —
+    computed lazily so an exhibit registered after this module imported
+    still dispatches through the CLI."""
     return SweepConfig.exhibit_names()
 
 
@@ -120,33 +120,12 @@ def _sweep_config(args: argparse.Namespace) -> SweepConfig:
         trial_batch=args.trial_batch,
     )
 
-_FIGURE_DESCRIPTIONS = {
-    "fig3": "MSE of LDPRecover / LDPRecover* / Detection per attack-protocol cell",
-    "fig4": "frequency gain of MGA before/after recovery",
-    "fig5": "parameter sweeps (beta / epsilon / eta) under AA on IPUMS",
-    "fig6": "parameter sweeps (beta / epsilon / eta) under AA on Fire",
-    "fig7": "MSE of estimated vs true malicious frequencies",
-    "fig8": "MGA vs MGA-IPA poisoning strength",
-    "fig9": "LDPRecover-KM vs plain k-means under MGA-IPA",
-    "fig10": "multi-attacker adaptive attacks",
-    "table1": "LDPRecover on unpoisoned frequencies",
-}
-
-
-def _descriptions() -> dict[str, str]:
-    """One-line descriptions per exhibit (``list`` output), registry-fresh."""
-    return {
-        **_FIGURE_DESCRIPTIONS,
-        **{name: exhibit.description for name, exhibit in SCENARIOS.items()},
-    }
-
-
 def _chunkless() -> tuple[str, ...]:
-    """Exhibits for which ``--chunk-users`` cannot apply: the report-level
-    figures (materialized reports required) plus scenario sweeps that do
-    not declare the knob."""
-    return ("fig3", "fig4", "fig9") + tuple(
-        name for name, exhibit in SCENARIOS.items() if not exhibit.uses_chunk_users
+    """Exhibits for which ``--chunk-users`` cannot apply: those whose cell
+    generator takes no ``chunk_users`` (the report-level figures and the
+    scenario sweeps that never run the chunked simulation)."""
+    return tuple(
+        name for name, exhibit in SCENARIOS.items() if "chunk_users" not in exhibit.knobs()
     )
 
 
@@ -567,9 +546,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     if args.command == "list":
-        descriptions = _descriptions()
         for name in sorted(_exhibits()):
-            print(f"{name:12s} {descriptions.get(name, '(registered scenario)')}")
+            print(f"{name:12s} {SCENARIOS[name].description}")
         return 0
     if args.command == "demo":
         return _demo(args)

@@ -18,7 +18,7 @@ canonical hash of that spec, so:
 Layout: one JSON file per cell under
 ``<cache_dir>/<tag>/<key[:2]>/<key>.json`` where ``tag`` versions the
 cache by schema (:data:`CACHE_SCHEMA`), the ``repro`` package version,
-and a content hash of the simulation-relevant source tree
+and a content hash of the package source tree
 (:func:`source_digest`) — a release *or* an in-place code edit
 invalidates old entries wholesale instead of serving stale rows.
 Writes are atomic (temp file + ``os.replace``) so a Ctrl-C never
@@ -29,11 +29,14 @@ The cache stores two kinds of payloads:
 
 * ``"evaluation"`` — a serialized
   :class:`~repro.sim.experiment.RecoveryEvaluation` (including its
-  per-metric :class:`~repro.sim.engine.MetricStats`), written by
-  :func:`repro.sim.experiment.evaluate_recovery`;
-* ``"row"`` — one flat exhibit row dict, written by the figure generators
-  whose cells do not go through ``evaluate_recovery`` (Figure 8/9,
-  Table I).
+  per-metric :class:`~repro.sim.engine.MetricStats`), the payload of
+  :func:`repro.sim.experiment.recovery_cell` cells;
+* ``"row"`` — an exhibit row payload (one flat row, or the per-``k`` /
+  per-epoch expansion of the heavy-hitter and epochs scenarios), the
+  payload of every other cell.
+
+Both are written and read by the one cell executor,
+:func:`repro.sim.cells.run_cell`.
 
 The CLI exposes the store via ``--cache-dir`` / ``--no-cache`` /
 ``--cache-stats`` on ``run`` and a ``cache`` subcommand (``ls`` /
@@ -49,7 +52,7 @@ import pathlib
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -68,7 +71,6 @@ __all__ = [
     "CacheStats",
     "CellBlockStore",
     "CellCache",
-    "SHARD_PLACEHOLDER_KEY",
     "cache_tag",
     "canonical_key",
     "default_cache_dir",
@@ -89,13 +91,6 @@ __all__ = [
 #: Cache schema version: bump whenever the entry layout, the spec
 #: fingerprints, or the payload serialization change incompatibly.
 CACHE_SCHEMA = 1
-
-#: Marker key present on every placeholder row payload produced by the
-#: shard / enumeration cache adapters (:mod:`repro.sim.shard`).  Row
-#: generators that post-process their cached payloads (rather than
-#: returning them verbatim) must pass marked payloads through untouched —
-#: the callers that produce them discard the rows.
-SHARD_PLACEHOLDER_KEY = "__shard_placeholder__"
 
 #: Environment variable that overrides the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -469,43 +464,51 @@ def payload_to_evaluation(payload: dict[str, Any]) -> "RecoveryEvaluation":
 # ----------------------------------------------------------------------
 # The on-disk store
 # ----------------------------------------------------------------------
-#: Sub-packages whose source content versions the cache tag: everything
-#: that can change a simulated cell's result.
-_SOURCE_PACKAGES = ("sim", "core", "protocols", "attacks")
+#: Sub-packages left out of the source digest: nothing a trial runs
+#: imports them.
+_UNHASHED_PACKAGES = ("lint",)
 
 #: Memoized digest of the installed package (computed once per process).
 _DEFAULT_SOURCE_DIGEST: Optional[str] = None
 
 
+def _source_files(root: pathlib.Path) -> list[pathlib.Path]:
+    """Every ``*.py`` under ``root`` except the :data:`_UNHASHED_PACKAGES`."""
+    return [
+        path
+        for path in sorted(root.rglob("*.py"))
+        if path.relative_to(root).parts[0] not in _UNHASHED_PACKAGES
+    ]
+
+
 def _compute_source_digest(root: pathlib.Path) -> str:
-    """sha256 over (relative path, bytes) of every ``*.py`` under ``root``'s
-    :data:`_SOURCE_PACKAGES` sub-trees, truncated to 12 hex chars."""
+    """sha256 over (relative path, bytes) of :func:`_source_files`,
+    truncated to 12 hex chars."""
     digest = hashlib.sha256()
-    for package in _SOURCE_PACKAGES:
-        base = root / package
-        if not base.is_dir():
+    for path in _source_files(root):
+        try:
+            data = path.read_bytes()
+        except OSError:  # pragma: no cover - unreadable file
             continue
-        for path in sorted(base.rglob("*.py")):
-            try:
-                data = path.read_bytes()
-            except OSError:  # pragma: no cover - unreadable file
-                continue
-            digest.update(path.relative_to(root).as_posix().encode("utf-8"))
-            digest.update(b"\0")
-            digest.update(data)
-            digest.update(b"\0")
+        digest.update(path.relative_to(root).as_posix().encode("utf-8"))
+        digest.update(b"\0")
+        digest.update(data)
+        digest.update(b"\0")
     return digest.hexdigest()[:12]
 
 
 def source_digest(root: Optional[str | os.PathLike[str]] = None) -> str:
-    """Short content hash of the simulation-relevant source tree.
+    """Short content hash of the package source that trials can run.
 
-    Hashes every ``*.py`` file (relative path plus raw bytes) under the
-    ``{sim,core,protocols,attacks}`` sub-packages of ``root`` — the
-    installed ``repro`` package by default, whose digest is computed once
-    per process.  Mixed into :func:`cache_tag`, this makes in-place source
-    edits invalidate the cell cache automatically: the edited tree writes
-    under a fresh tag instead of serving rows simulated by old code.
+    Hashes every ``*.py`` file (relative path plus raw bytes) under
+    ``root`` except the ``lint`` sub-package — the installed ``repro``
+    package by default, whose digest is computed once per process.  A
+    trial reaches far beyond the simulation layer (``_rng``, ``datasets``,
+    ``kv``, and ``serve`` for the epochs scenario), so hashing the whole
+    tree is the sound choice; ``lint`` alone never runs in a trial.
+    Mixed into :func:`cache_tag`, this makes in-place source edits
+    invalidate the cell cache automatically: the edited tree writes under
+    a fresh tag instead of serving rows simulated by old code.
     """
     global _DEFAULT_SOURCE_DIGEST
     if root is not None:
@@ -521,7 +524,7 @@ def cache_tag() -> str:
     """The versioned subdirectory name isolating incompatible caches.
 
     Combines the cache schema, the installed ``repro`` version, and the
-    :func:`source_digest` of the simulation-relevant source tree, so both
+    :func:`source_digest` of the package source tree, so both
     releases *and* in-place code edits invalidate old entries wholesale
     (no manual ``cache prune`` needed after editing simulation code).
     """
@@ -702,20 +705,34 @@ class CellCache:
         except (ValueError, KeyError, OSError):
             return None, True
 
-    def get(self, spec: dict[str, Any]) -> Optional[dict[str, Any]]:
+    def get(
+        self,
+        spec: dict[str, Any],
+        decode: Optional[Callable[[dict[str, Any]], Any]] = None,
+    ) -> Any:
         """Return the cached payload for ``spec``, or ``None`` on a miss.
 
-        Unreadable or mismatched entries (truncated files, foreign kinds)
-        count as misses and bump :attr:`CacheStats.errors`.
+        With ``decode`` the payload is passed through it and its result is
+        returned instead.  Unreadable or mismatched entries (truncated
+        files, foreign kinds, payloads ``decode`` rejects with
+        ``KeyError``/``TypeError``/``ValueError``) count as misses and bump
+        :attr:`CacheStats.errors`.  Each lookup is counted once, *after*
+        decoding, so a stale payload never shows as a hit.
         """
         payload, had_error = self._load(spec)
-        if payload is None:
+        value = payload
+        if payload is not None and decode is not None:
+            try:
+                value = decode(payload)
+            except (KeyError, TypeError, ValueError):
+                value, had_error = None, True
+        if value is None:
             self.stats.misses += 1
             if had_error:
                 self.stats.errors += 1
             return None
         self.stats.hits += 1
-        return payload
+        return value
 
     def contains(self, key: str) -> bool:
         """Whether an entry file for ``key`` exists (readability unchecked).
@@ -772,24 +789,12 @@ class CellCache:
 
         A payload that no longer matches the current
         :class:`RecoveryEvaluation` shape (e.g. a field was renamed by an
-        in-place code edit under the same cache tag) is treated as a miss
-        and recomputed, not raised.  The lookup outcome is counted once,
-        *after* decoding — a first-access shape mismatch is one miss plus
-        one error, never a negative hit count.
+        in-place code edit under the same cache tag) is a miss, not an
+        error raised (see :meth:`get`).
         """
-        payload, had_error = self._load(spec)
-        evaluation = None
-        if payload is not None:
-            try:
-                evaluation = payload_to_evaluation(payload)
-            except (KeyError, TypeError, ValueError):
-                had_error = True
-        if evaluation is None:
-            self.stats.misses += 1
-            if had_error:
-                self.stats.errors += 1
-            return None
-        self.stats.hits += 1
+        evaluation: Optional["RecoveryEvaluation"] = self.get(
+            spec, decode=payload_to_evaluation
+        )
         return evaluation
 
     def put_evaluation(

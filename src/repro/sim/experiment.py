@@ -7,7 +7,8 @@ method under evaluation (before-recovery, LDPRecover, LDPRecover*,
 Detection) and averages the metrics — exactly the paper's protocol of
 averaging MSE/FG over 10 trials (Section VI-B).
 
-Execution is delegated to :mod:`repro.sim.engine`: trials become picklable
+The cell is declared by :func:`recovery_cell` and executed by the cell
+executor of :mod:`repro.sim.cells`: trials become picklable
 :class:`~repro.sim.engine.TrialTask` units with ``SeedSequence``-spawned
 child streams, run inline (``workers=1``) or across a fork-safe process
 pool (``workers=N``) with bit-identical results, and metrics accumulate
@@ -24,10 +25,11 @@ from disk without running a single trial.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Iterable, Optional, Sequence
+from typing import Any, Callable, ClassVar, Iterable, Optional, Sequence
 
-from repro._rng import RngLike, spawn, spawn_sequences
+from repro._rng import RngLike, spawn
 from repro.attacks.base import PoisoningAttack
 from repro.datasets.base import Dataset
 from repro.exceptions import InvalidParameterError
@@ -35,18 +37,16 @@ from repro.protocols.base import FrequencyOracle
 from repro.sim.cache import (
     CellCache,
     evaluation_cell_spec,
+    evaluation_to_payload,
+    payload_to_evaluation,
     resolved_cohort_chunk,
-    trial_stream_spec,
 )
+from repro.sim.cells import Cell, run_cell, trial_seeds
 from repro.sim.engine import (
-    AdaptiveOutcome,
     MetricStats,
     TrialBudget,
     TrialTask,
-    aggregate_metrics,
-    parallel_map,
     resolve_star_targets,
-    run_adaptive_trials,
     trial_metrics,
 )
 from repro.sim.pipeline import SimulationMode, malicious_count
@@ -56,6 +56,7 @@ __all__ = [
     "SweepResult",
     "evaluate_recovery",
     "format_table",
+    "recovery_cell",
     "resolve_star_targets",
     "sweep_parameter",
 ]
@@ -127,6 +128,133 @@ class RecoveryEvaluation:
             if ci:
                 row[f"{metric}±"] = self.ci95(metric)
         return row
+
+
+def recovery_cell(
+    dataset: Dataset,
+    protocol: FrequencyOracle,
+    attack: Optional[PoisoningAttack],
+    beta: float = 0.05,
+    eta: float = 0.2,
+    trials: int = 10,
+    mode: SimulationMode = "fast",
+    with_star: bool = True,
+    with_detection: bool = False,
+    aa_top_k: int = 5,
+    rng: RngLike = None,
+    chunk_users: Optional[int] = None,
+    olh_cohort: Optional[int] = None,
+    strict_beta: bool = False,
+    budget: Optional[TrialBudget] = None,
+    rows: Callable[[dict[str, Any]], Any] = payload_to_evaluation,
+) -> Cell:
+    """The :class:`~repro.sim.cells.Cell` of one :func:`evaluate_recovery` call.
+
+    ``dataset``, ``protocol``, ``attack``, ``beta``, ``eta``, ``trials``,
+    ``mode``, ``with_star``, ``with_detection``, ``aa_top_k``, ``rng``,
+    ``chunk_users``, ``olh_cohort``, ``strict_beta`` and ``budget`` mean
+    what they mean there, and are validated the same way.  The cell's
+    payload is the serialized :class:`RecoveryEvaluation`; ``rows`` decodes
+    it (by default back into the :class:`RecoveryEvaluation`, which is
+    what :func:`evaluate_recovery` returns), so the figure generators pass
+    their own column mapping instead.
+    """
+    if trials < 1:
+        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
+    if with_detection and mode != "sampled":
+        raise InvalidParameterError("Detection requires mode='sampled'")
+    if chunk_users is not None and mode == "fast":
+        mode = "chunked"
+    if chunk_users is not None and mode == "sampled":
+        raise InvalidParameterError(
+            "chunk_users is incompatible with mode='sampled' (chunked simulation "
+            "does not retain reports); use mode='chunked' without detection"
+        )
+    if olh_cohort is not None:
+        with_cohort = getattr(protocol, "with_cohort", None)
+        if with_cohort is None:
+            raise InvalidParameterError(
+                f"olh_cohort requires a cohort-capable protocol (OLH/BLH), "
+                f"got {protocol.name!r}"
+            )
+        # The cohort-configured copy is used everywhere below, including
+        # the cache spec: cohort mode changes the report distribution, so
+        # it must (and does, via the protocol fingerprint) change the key.
+        # In mode="fast" the distributional sampler is cohort-independent,
+        # so the knob is a deliberate no-op there: fast cells keep sharing
+        # the per-user-seed cache entry instead of re-simulating identical
+        # rows under a forked key.  The copy is still built first so an
+        # invalid cohort size raises in every mode.
+        cohorted = with_cohort(olh_cohort)
+        if mode != "fast":
+            protocol = cohorted
+    if attack is not None:
+        # Surface the m=0 rounding problem at the cell level — under
+        # strict_beta this fails fast before any worker spawns, and the
+        # warning fires here even when pooled workers' stderr is lost.
+        # (Trials may re-warn from run_trial in their own processes.)
+        malicious_count(dataset.num_users, beta, strict=strict_beta)
+    seeds = trial_seeds(rng, trials, budget)
+    spec = evaluation_cell_spec(
+        dataset,
+        protocol,
+        attack,
+        beta=beta,
+        eta=eta,
+        trials=len(seeds),
+        mode=mode,
+        with_star=with_star,
+        with_detection=with_detection,
+        aa_top_k=aa_top_k,
+        seeds=seeds,
+        cohort_chunk_users=resolved_cohort_chunk(protocol, mode, chunk_users),
+    )
+    task_for = functools.partial(
+        TrialTask,
+        dataset,
+        protocol,
+        attack,
+        beta=beta,
+        eta=eta,
+        mode=mode,
+        with_star=with_star,
+        with_detection=with_detection,
+        aa_top_k=aa_top_k,
+        chunk_users=chunk_users,
+    )
+    attack_name = attack.describe() if attack is not None else "none"
+    payload = functools.partial(
+        _evaluation_payload, dataset.name, protocol.name, attack_name, beta, eta
+    )
+    return Cell(spec, seeds, task_for, trial_metrics, payload, rows)
+
+
+def _evaluation_payload(
+    dataset: str,
+    protocol: str,
+    attack: str,
+    beta: float,
+    eta: float,
+    stats: dict[str, MetricStats],
+    trials: int,
+) -> dict[str, Any]:
+    """The cached payload of a :func:`recovery_cell`: its evaluation."""
+    means = {
+        metric: stats[metric].mean if metric in stats else None
+        for metric in RecoveryEvaluation.METRIC_COLUMNS
+    }
+    evaluation = RecoveryEvaluation(
+        dataset=dataset,
+        protocol=protocol,
+        attack=attack,
+        beta=beta,
+        eta=eta,
+        trials=trials,
+        stats=stats,
+        **{**means, "mse_before": means["mse_before"] or 0.0,
+           "mse_recover": means["mse_recover"] or 0.0},
+    )
+    return evaluation_to_payload(evaluation)
 
 
 def evaluate_recovery(
@@ -214,126 +342,15 @@ def evaluate_recovery(
         recomputing.  The result is bit-identical to a fixed-budget call
         at the achieved trial count under the same ``rng``.
     """
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-    if with_detection and mode != "sampled":
-        raise InvalidParameterError("Detection requires mode='sampled'")
-    if chunk_users is not None and mode == "fast":
-        mode = "chunked"
-    if chunk_users is not None and mode == "sampled":
-        raise InvalidParameterError(
-            "chunk_users is incompatible with mode='sampled' (chunked simulation "
-            "does not retain reports); use mode='chunked' without detection"
-        )
-    if olh_cohort is not None:
-        with_cohort = getattr(protocol, "with_cohort", None)
-        if with_cohort is None:
-            raise InvalidParameterError(
-                f"olh_cohort requires a cohort-capable protocol (OLH/BLH), "
-                f"got {protocol.name!r}"
-            )
-        # The cohort-configured copy is used everywhere below, including
-        # the cache spec: cohort mode changes the report distribution, so
-        # it must (and does, via the protocol fingerprint) change the key.
-        # In mode="fast" the distributional sampler is cohort-independent,
-        # so the knob is a deliberate no-op there: fast cells keep sharing
-        # the per-user-seed cache entry instead of re-simulating identical
-        # rows under a forked key.  The copy is still built first so an
-        # invalid cohort size raises in every mode.
-        cohorted = with_cohort(olh_cohort)
-        if mode != "fast":
-            protocol = cohorted
-    if attack is not None:
-        # Surface the m=0 rounding problem at the cell level — under
-        # strict_beta this fails fast before any worker spawns, and the
-        # warning fires here even when pooled workers' stderr is lost.
-        # (Trials may re-warn from run_trial in their own processes.)
-        malicious_count(dataset.num_users, beta, strict=strict_beta)
-
-    # Seeds are spawned before the cache lookup so the parent RNG advances
-    # identically on hits and misses — later cells see the same streams
-    # whether or not this one came from disk.  A budget spawns the full
-    # max_trials stream up front: the first k children are identical to a
-    # fixed k-trial run's seeds, which is the bit-identity anchor.
-    seeds = spawn_sequences(rng, trials if budget is None else budget.max_trials)
-    spec = None
-    if cache is not None:
-        spec = evaluation_cell_spec(
-            dataset,
-            protocol,
-            attack,
-            beta=beta,
-            eta=eta,
-            trials=trials if budget is None else budget.max_trials,
-            mode=mode,
-            with_star=with_star,
-            with_detection=with_detection,
-            aa_top_k=aa_top_k,
-            seeds=seeds,
-            cohort_chunk_users=resolved_cohort_chunk(protocol, mode, chunk_users),
-        )
-        if budget is not None:
-            spec["budget"] = budget.fingerprint()
-        cached = cache.get_evaluation(spec)
-        if cached is not None:
-            return cached
-
-    def _task(seed) -> TrialTask:
-        return TrialTask(
-            dataset=dataset,
-            protocol=protocol,
-            attack=attack,
-            seed=seed,
-            beta=beta,
-            eta=eta,
-            mode=mode,
-            with_star=with_star,
-            with_detection=with_detection,
-            aa_top_k=aa_top_k,
-            chunk_users=chunk_users,
-        )
-
-    outcome: Optional[AdaptiveOutcome] = None
-    if budget is not None:
-        store = None
-        if cache is not None and spec is not None:
-            store = cache.block_store(trial_stream_spec(spec))
-        outcome = run_adaptive_trials(
-            budget, trial_metrics, _task, seeds, workers=workers, store=store
-        )
-        stats = outcome.stats
-        trials = outcome.trials
-    else:
-        tasks = [_task(seed) for seed in seeds]
-        stats = aggregate_metrics(parallel_map(trial_metrics, tasks, workers=workers))
-
-    def _mean(metric: str) -> Optional[float]:
-        entry = stats.get(metric)
-        return entry.mean if entry is not None else None
-
-    evaluation = RecoveryEvaluation(
-        dataset=dataset.name,
-        protocol=protocol.name,
-        attack=attack.describe() if attack is not None else "none",
-        beta=beta,
-        eta=eta,
-        trials=trials,
-        mse_before=_mean("mse_before") or 0.0,
-        mse_recover=_mean("mse_recover") or 0.0,
-        mse_recover_star=_mean("mse_recover_star"),
-        mse_detection=_mean("mse_detection"),
-        fg_before=_mean("fg_before"),
-        fg_recover=_mean("fg_recover"),
-        fg_recover_star=_mean("fg_recover_star"),
-        fg_detection=_mean("fg_detection"),
-        mse_malicious_estimate=_mean("mse_malicious_estimate"),
-        mse_malicious_estimate_star=_mean("mse_malicious_estimate_star"),
-        stats=stats,
+    cell = recovery_cell(
+        dataset, protocol, attack, beta=beta, eta=eta, trials=trials, mode=mode,
+        with_star=with_star, with_detection=with_detection, aa_top_k=aa_top_k,
+        rng=rng, chunk_users=chunk_users, olh_cohort=olh_cohort,
+        strict_beta=strict_beta, budget=budget,
     )
-    if cache is not None and spec is not None:
-        cache.put_evaluation(
-            spec, evaluation, meta=None if outcome is None else outcome.meta()
-        )
+    evaluation: RecoveryEvaluation = run_cell(
+        cell, cache=cache, workers=workers, budget=budget
+    )[1]
     return evaluation
 
 

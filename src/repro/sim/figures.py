@@ -1,10 +1,13 @@
 """Regeneration of every table and figure in the paper's evaluation.
 
-Each ``figure*_rows`` / ``table1_rows`` function reproduces one exhibit of
-Section VI / VII and returns a list of flat row dicts (printable with
-:func:`repro.sim.experiment.format_table`).  The benchmark suite and the
-CLI are thin wrappers over these functions; ``docs/exhibits.md`` maps each
-exhibit to its function, regenerating CLI command, and emitted columns.
+Each exhibit of Section VI / VII is a generator of
+:class:`~repro.sim.cells.Cell` values registered with
+:func:`~repro.sim.cells.exhibit`, which makes the ``figure*_rows`` /
+``table1_rows`` names its rows functions: they return a list of flat row
+dicts (printable with :func:`repro.sim.experiment.format_table`).  The
+benchmark suite and the CLI are thin wrappers over these functions;
+``docs/exhibits.md`` maps each exhibit to its function, regenerating CLI
+command, and emitted columns.
 
 Scale notes: the paper runs 10 trials at full population.  The defaults
 here are tuned so the full suite finishes in minutes on a laptop —
@@ -27,7 +30,7 @@ canonical hash of their full spec and served from disk on repeat runs, so
 an interrupted sweep resumes from where it stopped and warm regeneration
 performs zero simulation trials.  That warm path is also how
 :mod:`repro.sim.shard` merges multi-machine sweeps: against a fully
-populated cache every generator renders its rows purely from cached
+populated cache every exhibit renders its rows purely from cached
 payloads, bit-identical to the run that produced them.  Each metric
 column is accompanied by a ``<column>±`` companion holding the 95%
 confidence half-width of the trial average (``None``/``-`` when a single
@@ -36,39 +39,37 @@ trial contributed).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from repro._rng import RngLike, as_generator, spawn, spawn_sequences
+from repro._rng import RngLike, as_generator, spawn
 from repro.attacks import (
     AdaptiveAttack,
     InputPoisoningAttack,
-    ManipAttack,
     MGAAttack,
     MultiAttacker,
 )
-from repro.attacks.base import PoisoningAttack
 from repro.core.kmeans import KMeansDefense, recover_with_kmeans
 from repro.core.recover import recover_frequencies
 from repro.datasets import Dataset, fire_like, ipums_like
 from repro.exceptions import InvalidParameterError
-from repro.protocols import PROTOCOL_NAMES, FrequencyOracle, make_protocol
-from repro.sim.cache import (
-    CellCache,
-    resolved_cohort_chunk,
-    row_cell_spec,
-    trial_stream_spec,
+from repro.protocols import PROTOCOL_NAMES, FrequencyOracle
+from repro.sim.cache import payload_to_evaluation, row_cell_spec
+from repro.sim.cells import (
+    Cell,
+    cell_protocol,
+    exhibit,
+    exhibit_rows,
+    make_attack,
+    row_cell_params,
+    stat_row,
+    trial_seeds,
 )
-from repro.sim.engine import (
-    MetricStats,
-    TrialBudget,
-    aggregate_metrics,
-    parallel_map,
-    run_adaptive_trials,
-)
-from repro.sim.experiment import RecoveryEvaluation, evaluate_recovery
+from repro.sim.engine import TrialBudget
+from repro.sim.experiment import recovery_cell
 from repro.sim.metrics import mse
 from repro.sim.pipeline import SimulationMode, run_trial
 
@@ -94,159 +95,41 @@ def load_dataset(name: str, num_users: Optional[int]) -> Dataset:
     raise InvalidParameterError(f"unknown dataset {name!r}; use 'ipums' or 'fire'")
 
 
-# NOTE: the cell-row toolkit below (_cell_protocol, _cohort_for,
-# _row_cell_params, _metric_columns, _stat_columns, _cached_cell_row) is
-# shared infrastructure: repro.sim.scenarios builds its registered
-# scenario exhibits on these helpers, so renames/signature changes must
-# update both modules (the scenario test suite pins the contract).
-def _cell_protocol(
-    name: str, epsilon: float, domain_size: int, olh_cohort: Optional[int] = None
-) -> FrequencyOracle:
-    """Build one cell's protocol; ``olh_cohort`` applies to OLH cells only.
-
-    The cohort knob is meaningless for GRR/OUE, so exhibits that iterate
-    every protocol forward it here and only the hashing-based cells pick
-    it up (entering their cache keys through the protocol fingerprint).
-    Used directly by the report-level (``sampled``-mode) exhibits; the
-    fast-capable exhibits instead pass :func:`_cohort_for` through
-    :func:`~repro.sim.experiment.evaluate_recovery`, which applies the
-    cohort only when the cell actually materializes reports.
-    """
-    protocol = make_protocol(name, epsilon=epsilon, domain_size=domain_size)
-    cohort = _cohort_for(protocol, olh_cohort)
-    if cohort is not None:
-        # ``with_cohort`` only exists on cohort-capable oracles (OLH); the
-        # _cohort_for gate above guarantees the hook is present here.
-        protocol = getattr(protocol, "with_cohort")(cohort)
-    return protocol
-
-
 def _cohort_for(protocol: object, olh_cohort: Optional[int]) -> Optional[int]:
     """``olh_cohort`` when ``protocol`` supports seed cohorts, else ``None``.
 
-    Capability-based (``with_cohort`` hook) rather than a name list, so a
-    newly registered cohort-capable protocol picks the knob up without
-    touching the exhibit generators.
+    The fast-capable exhibits pass this to
+    :func:`~repro.sim.experiment.recovery_cell`, which applies the cohort
+    only when the cell actually materializes reports.
     """
     if olh_cohort is None or not hasattr(protocol, "with_cohort"):
         return None
     return olh_cohort
 
 
-def _row_cell_params(
-    protocol: FrequencyOracle,
-    mode: SimulationMode,
-    chunk_users: Optional[int],
-    /,
-    **base: object,
-) -> dict[str, object]:
-    """Spec params of one row cell (Figure 8 / Table I), cohort-aware.
-
-    Adds ``cohort_chunk_users`` (the resolved chunk schedule) exactly when
-    :func:`repro.sim.cache.resolved_cohort_chunk` says it shapes the
-    cell's report distribution.  The leading arguments are positional-only
-    so ``base`` may itself carry a ``mode`` spec field.
-    """
-    params: dict[str, object] = dict(base)
-    cohort_chunk = resolved_cohort_chunk(protocol, mode, chunk_users)
-    if cohort_chunk is not None:
-        params["cohort_chunk_users"] = cohort_chunk
-    return params
-
-
-def _make_attack(kind: str, domain_size: int, rng: RngLike) -> PoisoningAttack:
-    gen = as_generator(rng)
-    if kind == "manip":
-        return ManipAttack(domain_size=domain_size, rng=gen)
-    if kind == "mga":
-        return MGAAttack(domain_size=domain_size, r=DEFAULT_R, rng=gen)
-    if kind == "aa":
-        return AdaptiveAttack(domain_size=domain_size, rng=gen)
-    raise InvalidParameterError(f"unknown attack {kind!r}")
-
-
-def _metric_columns(
-    evaluation: RecoveryEvaluation, mapping: dict[str, str]
-) -> dict[str, object]:
-    """Columns ``{col: value, col±: ci95}`` for evaluation-backed rows.
+def _evaluation_columns(
+    head: dict[str, object], mapping: dict[str, str], payload: dict[str, Any]
+) -> list[dict[str, object]]:
+    """The row of an evaluation cell: ``head``, then ``{col: value, col±: ci95}``.
 
     ``mapping`` maps output column names to
     :class:`~repro.sim.experiment.RecoveryEvaluation` metric names; each
     column is immediately followed by its ``±`` confidence companion.
     """
-    out: dict[str, object] = {}
+    evaluation = payload_to_evaluation(payload)
+    row = dict(head)
     for column, metric in mapping.items():
-        out[column] = getattr(evaluation, metric)
-        out[f"{column}±"] = evaluation.ci95(metric)
-    return out
+        row[column] = getattr(evaluation, metric)
+        row[f"{column}±"] = evaluation.ci95(metric)
+    return [row]
 
 
-def _stat_columns(
-    stats: dict[str, MetricStats], columns: Iterable[str]
-) -> dict[str, object]:
-    """Columns ``{col: mean, col±: ci95}`` from aggregated trial stats."""
-    out: dict[str, object] = {}
-    for column in columns:
-        entry = stats[column]
-        out[column] = entry.mean
-        out[f"{column}±"] = entry.ci95_halfwidth
-    return out
-
-
-def _cached_cell_row(
-    cache: Optional[CellCache],
-    spec: Optional[dict[str, object]],
-    compute: Callable[[], dict[str, object]],
-    meta: Optional[Callable[[], Optional[dict[str, object]]]] = None,
-) -> dict[str, object]:
-    """Serve one exhibit row from ``cache`` under ``spec``, or ``compute``
-    and store it — the shared lookup/store protocol of the generators
-    whose cells do not go through :func:`evaluate_recovery`.  ``meta`` is
-    an optional zero-argument callable evaluated *after* ``compute`` whose
-    result (adaptive-budget trial counts, achieved half-widths) is stored
-    on the entry next to — never inside — the row payload."""
-    if cache is not None and spec is not None:
-        cached = cache.get(spec)
-        if cached is not None:
-            return cached
-    row = compute()
-    if cache is not None and spec is not None:
-        cache.put(spec, row, meta=None if meta is None else meta())
-    return row
-
-
-def _cell_trial_stats(
-    metrics_fn: Callable[[object], dict[str, float]],
-    task_for: Callable[[np.random.SeedSequence], object],
-    seeds: list[np.random.SeedSequence],
-    workers: Optional[int],
-    budget: Optional[TrialBudget],
-    cache: Optional[CellCache],
-    spec: Optional[dict[str, object]],
-) -> tuple[dict[str, MetricStats], Optional[dict[str, object]]]:
-    """Aggregate one row cell's trial metrics, fixed-budget or adaptive.
-
-    With ``budget`` ``None`` every seed in ``seeds`` becomes one task via
-    ``task_for`` and runs through :func:`parallel_map` with
-    ``metrics_fn`` — the historical fixed-budget path, byte-identical
-    cache keys and all.  With a :class:`~repro.sim.engine.TrialBudget`,
-    trials run in batches until the budget's stopping rule is met,
-    resuming from (and appending to) the cell's trial-block store when
-    ``cache`` and the cell's summary ``spec`` are given.  Returns the
-    aggregated stats plus the adaptive outcome metadata (``None`` on the
-    fixed path).
-    """
-    if budget is None:
-        tasks = [task_for(seed) for seed in seeds]
-        stats = aggregate_metrics(parallel_map(metrics_fn, tasks, workers=workers))
-        return stats, None
-    store = None
-    if cache is not None and spec is not None:
-        store = cache.block_store(trial_stream_spec(spec))
-    outcome = run_adaptive_trials(
-        budget, metrics_fn, task_for, seeds, workers=workers, store=store
-    )
-    return outcome.stats, outcome.meta()
+def _columns(
+    head: dict[str, object], mapping: dict[str, str]
+) -> Callable[[dict[str, Any]], list[dict[str, object]]]:
+    """:attr:`~repro.sim.cells.Cell.rows` of an evaluation cell (see
+    :func:`_evaluation_columns`)."""
+    return functools.partial(_evaluation_columns, head, mapping)
 
 
 #: The (attack, protocol) cells of Figures 3-4: Manip is shown on GRR only
@@ -262,6 +145,7 @@ FIG3_CELLS: tuple[tuple[str, str], ...] = (
 )
 
 
+@exhibit("fig3", "MSE of LDPRecover / LDPRecover* / Detection per attack-protocol cell")
 def figure3_rows(
     dataset_name: str = "ipums",
     num_users: Optional[int] = 40_000,
@@ -270,11 +154,9 @@ def figure3_rows(
     beta: float = DEFAULT_BETA,
     eta: float = DEFAULT_ETA,
     rng: RngLike = 3,
-    workers: Optional[int] = 1,
     olh_cohort: Optional[int] = None,
-    cache: Optional[CellCache] = None,
     budget: Optional[TrialBudget] = None,
-) -> list[dict[str, object]]:
+) -> Iterator[Cell]:
     """Figure 3: MSE of LDPRecover/LDPRecover*/Detection per cell.
 
     Parameters
@@ -307,44 +189,26 @@ def figure3_rows(
         superseded by the budget's checkpoints).
     """
     dataset = load_dataset(dataset_name, num_users)
-    rows = []
     rngs = spawn(rng, len(FIG3_CELLS))
+    mapping = {
+        "mse_before": "mse_before",
+        "mse_detection": "mse_detection",
+        "mse_ldprecover": "mse_recover",
+        "mse_ldprecover_star": "mse_recover_star",
+    }
     for (attack_kind, protocol_name), cell_rng in zip(FIG3_CELLS, rngs):
         gen = as_generator(cell_rng)
-        protocol = _cell_protocol(protocol_name, epsilon, dataset.domain_size, olh_cohort)
-        attack = _make_attack(attack_kind, dataset.domain_size, gen)
-        evaluation = evaluate_recovery(
-            dataset,
-            protocol,
-            attack,
-            beta=beta,
-            eta=eta,
-            trials=trials,
-            mode="sampled",
-            with_detection=True,
-            aa_top_k=DEFAULT_R // 2,
-            rng=gen,
-            workers=workers,
-            cache=cache,
-            budget=budget,
+        protocol = cell_protocol(protocol_name, epsilon, dataset.domain_size, olh_cohort)
+        attack = make_attack(attack_kind, dataset.domain_size, gen, DEFAULT_R)
+        yield recovery_cell(
+            dataset, protocol, attack, beta=beta, eta=eta, trials=trials,
+            mode="sampled", with_detection=True, aa_top_k=DEFAULT_R // 2,
+            rng=gen, budget=budget,
+            rows=_columns({"cell": f"{attack_kind}-{protocol_name}"}, mapping),
         )
-        rows.append(
-            {
-                "cell": f"{attack_kind}-{protocol_name}",
-                **_metric_columns(
-                    evaluation,
-                    {
-                        "mse_before": "mse_before",
-                        "mse_detection": "mse_detection",
-                        "mse_ldprecover": "mse_recover",
-                        "mse_ldprecover_star": "mse_recover_star",
-                    },
-                ),
-            }
-        )
-    return rows
 
 
+@exhibit("fig4", "frequency gain of MGA before/after recovery")
 def figure4_rows(
     dataset_name: str = "ipums",
     num_users: Optional[int] = 40_000,
@@ -353,11 +217,9 @@ def figure4_rows(
     beta: float = DEFAULT_BETA,
     eta: float = DEFAULT_ETA,
     rng: RngLike = 4,
-    workers: Optional[int] = 1,
     olh_cohort: Optional[int] = None,
-    cache: Optional[CellCache] = None,
     budget: Optional[TrialBudget] = None,
-) -> list[dict[str, object]]:
+) -> Iterator[Cell]:
     """Figure 4: frequency gain of MGA per protocol, before/after.
 
     Parameters match :func:`figure3_rows`: ``dataset_name`` /
@@ -370,41 +232,22 @@ def figure4_rows(
     allocation.
     """
     dataset = load_dataset(dataset_name, num_users)
-    rows = []
     rngs = spawn(rng, len(PROTOCOL_NAMES))
+    mapping = {
+        "fg_before": "fg_before",
+        "fg_detection": "fg_detection",
+        "fg_ldprecover": "fg_recover",
+        "fg_ldprecover_star": "fg_recover_star",
+    }
     for protocol_name, cell_rng in zip(PROTOCOL_NAMES, rngs):
         gen = as_generator(cell_rng)
-        protocol = _cell_protocol(protocol_name, epsilon, dataset.domain_size, olh_cohort)
+        protocol = cell_protocol(protocol_name, epsilon, dataset.domain_size, olh_cohort)
         attack = MGAAttack(domain_size=dataset.domain_size, r=DEFAULT_R, rng=gen)
-        evaluation = evaluate_recovery(
-            dataset,
-            protocol,
-            attack,
-            beta=beta,
-            eta=eta,
-            trials=trials,
-            mode="sampled",
-            with_detection=True,
-            rng=gen,
-            workers=workers,
-            cache=cache,
-            budget=budget,
+        yield recovery_cell(
+            dataset, protocol, attack, beta=beta, eta=eta, trials=trials,
+            mode="sampled", with_detection=True, rng=gen, budget=budget,
+            rows=_columns({"cell": f"mga-{protocol_name}"}, mapping),
         )
-        rows.append(
-            {
-                "cell": f"mga-{protocol_name}",
-                **_metric_columns(
-                    evaluation,
-                    {
-                        "fg_before": "fg_before",
-                        "fg_detection": "fg_detection",
-                        "fg_ldprecover": "fg_recover",
-                        "fg_ldprecover_star": "fg_recover_star",
-                    },
-                ),
-            }
-        )
-    return rows
 
 
 #: Parameter grids of Figures 5-6 (Section VI-D).
@@ -413,6 +256,49 @@ EPSILON_GRID = (0.1, 0.2, 0.4, 0.8, 1.6)
 ETA_GRID = (0.01, 0.05, 0.1, 0.2, 0.4)
 
 
+def _sweep_cells(
+    dataset_name: str,
+    parameter: str,
+    values: Iterable[float],
+    num_users: Optional[int],
+    trials: int,
+    rng: RngLike,
+    chunk_users: Optional[int],
+    olh_cohort: Optional[int],
+    budget: Optional[TrialBudget],
+) -> Iterator[Cell]:
+    """The cells of :func:`sweep_rows` (same parameters)."""
+    grids = {"beta": BETA_GRID, "epsilon": EPSILON_GRID, "eta": ETA_GRID}
+    if parameter not in grids:
+        raise InvalidParameterError(
+            f"parameter must be one of {sorted(grids)}, got {parameter!r}"
+        )
+    values = tuple(values) or grids[parameter]
+    dataset = load_dataset(dataset_name, num_users)
+    rngs = iter(spawn(rng, len(PROTOCOL_NAMES) * len(values)))
+    mapping = {
+        "mse_before": "mse_before",
+        "mse_ldprecover": "mse_recover",
+        "mse_ldprecover_star": "mse_recover_star",
+    }
+    for protocol_name in PROTOCOL_NAMES:
+        for value in values:
+            gen = as_generator(next(rngs))
+            epsilon = value if parameter == "epsilon" else DEFAULT_EPSILON
+            protocol = cell_protocol(protocol_name, epsilon, dataset.domain_size)
+            attack = AdaptiveAttack(domain_size=dataset.domain_size, rng=gen)
+            yield recovery_cell(
+                dataset, protocol, attack,
+                beta=value if parameter == "beta" else DEFAULT_BETA,
+                eta=value if parameter == "eta" else DEFAULT_ETA,
+                trials=trials, mode="fast", aa_top_k=DEFAULT_R // 2, rng=gen,
+                chunk_users=chunk_users, olh_cohort=_cohort_for(protocol, olh_cohort),
+                budget=budget,
+                rows=_columns({"cell": f"aa-{protocol_name}", parameter: value}, mapping),
+            )
+
+
+@exhibit_rows
 def sweep_rows(
     dataset_name: str,
     parameter: str,
@@ -420,12 +306,10 @@ def sweep_rows(
     num_users: Optional[int] = None,
     trials: int = 5,
     rng: RngLike = 5,
-    workers: Optional[int] = 1,
     chunk_users: Optional[int] = None,
     olh_cohort: Optional[int] = None,
-    cache: Optional[CellCache] = None,
     budget: Optional[TrialBudget] = None,
-) -> list[dict[str, object]]:
+) -> Iterator[Cell]:
     """Figures 5-6: MSE under AA while one of (beta, epsilon, eta) varies.
 
     Parameters
@@ -458,71 +342,70 @@ def sweep_rows(
         Optional :class:`~repro.sim.engine.TrialBudget`; each grid cell
         then stops as soon as its 95% CI half-widths reach the target.
     """
-    grids = {"beta": BETA_GRID, "epsilon": EPSILON_GRID, "eta": ETA_GRID}
-    if parameter not in grids:
-        raise InvalidParameterError(
-            f"parameter must be one of {sorted(grids)}, got {parameter!r}"
-        )
-    values = tuple(values) or grids[parameter]
-    dataset = load_dataset(dataset_name, num_users)
-    rows = []
-    rngs = spawn(rng, len(PROTOCOL_NAMES) * len(values))
-    idx = 0
-    for protocol_name in PROTOCOL_NAMES:
-        for value in values:
-            gen = as_generator(rngs[idx])
-            idx += 1
-            beta = value if parameter == "beta" else DEFAULT_BETA
-            epsilon = value if parameter == "epsilon" else DEFAULT_EPSILON
-            eta = value if parameter == "eta" else DEFAULT_ETA
-            protocol = _cell_protocol(protocol_name, epsilon, dataset.domain_size)
-            attack = AdaptiveAttack(domain_size=dataset.domain_size, rng=gen)
-            evaluation = evaluate_recovery(
-                dataset,
-                protocol,
-                attack,
-                beta=beta,
-                eta=eta,
-                trials=trials,
-                mode="fast",
-                aa_top_k=DEFAULT_R // 2,
-                rng=gen,
-                workers=workers,
-                chunk_users=chunk_users,
-                olh_cohort=_cohort_for(protocol, olh_cohort),
-                cache=cache,
-                budget=budget,
-            )
-            rows.append(
-                {
-                    "cell": f"aa-{protocol_name}",
-                    parameter: value,
-                    **_metric_columns(
-                        evaluation,
-                        {
-                            "mse_before": "mse_before",
-                            "mse_ldprecover": "mse_recover",
-                            "mse_ldprecover_star": "mse_recover_star",
-                        },
-                    ),
-                }
-            )
-    return rows
+    return _sweep_cells(
+        dataset_name, parameter, values, num_users, trials, rng,
+        chunk_users, olh_cohort, budget,
+    )
+
+
+@exhibit("fig5", "parameter sweeps (beta / epsilon / eta) under AA on IPUMS")
+def figure5_rows(
+    parameter: str = "beta",
+    values: Iterable[float] = (),
+    num_users: Optional[int] = None,
+    trials: int = 5,
+    rng: RngLike = 5,
+    chunk_users: Optional[int] = None,
+    olh_cohort: Optional[int] = None,
+    budget: Optional[TrialBudget] = None,
+) -> Iterator[Cell]:
+    """Figure 5: :func:`sweep_rows` on IPUMS.
+
+    ``parameter``, ``values``, ``num_users``, ``trials``, ``rng``,
+    ``workers``, ``chunk_users``, ``olh_cohort``, ``cache`` and ``budget``
+    mean what they mean there.
+    """
+    return _sweep_cells(
+        "ipums", parameter, values, num_users, trials, rng,
+        chunk_users, olh_cohort, budget,
+    )
+
+
+@exhibit("fig6", "parameter sweeps (beta / epsilon / eta) under AA on Fire")
+def figure6_rows(
+    parameter: str = "beta",
+    values: Iterable[float] = (),
+    num_users: Optional[int] = None,
+    trials: int = 5,
+    rng: RngLike = 5,
+    chunk_users: Optional[int] = None,
+    olh_cohort: Optional[int] = None,
+    budget: Optional[TrialBudget] = None,
+) -> Iterator[Cell]:
+    """Figure 6: :func:`sweep_rows` on Fire.
+
+    ``parameter``, ``values``, ``num_users``, ``trials``, ``rng``,
+    ``workers``, ``chunk_users``, ``olh_cohort``, ``cache`` and ``budget``
+    mean what they mean there.
+    """
+    return _sweep_cells(
+        "fire", parameter, values, num_users, trials, rng,
+        chunk_users, olh_cohort, budget,
+    )
 
 
 FIG7_BETAS = (0.05, 0.1, 0.15, 0.2, 0.25)
 
 
+@exhibit("fig7", "MSE of estimated vs true malicious frequencies")
 def figure7_rows(
     num_users: Optional[int] = None,
     trials: int = 5,
     rng: RngLike = 7,
-    workers: Optional[int] = 1,
     chunk_users: Optional[int] = None,
     olh_cohort: Optional[int] = None,
-    cache: Optional[CellCache] = None,
     budget: Optional[TrialBudget] = None,
-) -> list[dict[str, object]]:
+) -> Iterator[Cell]:
     """Figure 7: MSE of estimated vs. true malicious frequencies (IPUMS).
 
     ``num_users`` rescales the population, ``trials`` rounds are averaged
@@ -534,44 +417,22 @@ def figure7_rows(
     allocation.
     """
     dataset = load_dataset("ipums", num_users)
-    rows = []
-    rngs = spawn(rng, len(PROTOCOL_NAMES) * len(FIG7_BETAS))
-    idx = 0
+    rngs = iter(spawn(rng, len(PROTOCOL_NAMES) * len(FIG7_BETAS)))
+    mapping = {
+        "malicious_mse_ldprecover": "mse_malicious_estimate",
+        "malicious_mse_ldprecover_star": "mse_malicious_estimate_star",
+    }
     for protocol_name in PROTOCOL_NAMES:
         for beta in FIG7_BETAS:
-            gen = as_generator(rngs[idx])
-            idx += 1
-            protocol = _cell_protocol(protocol_name, DEFAULT_EPSILON, dataset.domain_size)
+            gen = as_generator(next(rngs))
+            protocol = cell_protocol(protocol_name, DEFAULT_EPSILON, dataset.domain_size)
             attack = MGAAttack(domain_size=dataset.domain_size, r=DEFAULT_R, rng=gen)
-            evaluation = evaluate_recovery(
-                dataset,
-                protocol,
-                attack,
-                beta=beta,
-                eta=DEFAULT_ETA,
-                trials=trials,
-                mode="fast",
-                rng=gen,
-                workers=workers,
-                chunk_users=chunk_users,
-                olh_cohort=_cohort_for(protocol, olh_cohort),
-                cache=cache,
-                budget=budget,
+            yield recovery_cell(
+                dataset, protocol, attack, beta=beta, eta=DEFAULT_ETA,
+                trials=trials, mode="fast", rng=gen, chunk_users=chunk_users,
+                olh_cohort=_cohort_for(protocol, olh_cohort), budget=budget,
+                rows=_columns({"cell": f"mga-{protocol_name}", "beta": beta}, mapping),
             )
-            rows.append(
-                {
-                    "cell": f"mga-{protocol_name}",
-                    "beta": beta,
-                    **_metric_columns(
-                        evaluation,
-                        {
-                            "malicious_mse_ldprecover": "mse_malicious_estimate",
-                            "malicious_mse_ldprecover_star": "mse_malicious_estimate_star",
-                        },
-                    ),
-                }
-            )
-    return rows
 
 
 FIG8_BETAS = (0.05, 0.1, 0.15, 0.2, 0.25)
@@ -608,16 +469,15 @@ def _figure8_trial(task: _Fig8Task) -> dict[str, float]:
     }
 
 
+@exhibit("fig8", "MGA vs MGA-IPA poisoning strength")
 def figure8_rows(
     num_users: Optional[int] = None,
     trials: int = 5,
     rng: RngLike = 8,
-    workers: Optional[int] = 1,
     chunk_users: Optional[int] = None,
     olh_cohort: Optional[int] = None,
-    cache: Optional[CellCache] = None,
     budget: Optional[TrialBudget] = None,
-) -> list[dict[str, object]]:
+) -> Iterator[Cell]:
     """Figure 8: poisoning strength of MGA vs. MGA-IPA (no recovery).
 
     ``num_users`` rescales the IPUMS population, ``trials`` MGA+IPA round
@@ -631,51 +491,32 @@ def figure8_rows(
     """
     dataset = load_dataset("ipums", num_users)
     mode: SimulationMode = "chunked" if chunk_users is not None else "fast"
-    columns = ("mse_mga", "mse_mga_ipa")
-    rows = []
-    rngs = spawn(rng, len(PROTOCOL_NAMES) * len(FIG8_BETAS))
-    idx = 0
+    rngs = iter(spawn(rng, len(PROTOCOL_NAMES) * len(FIG8_BETAS)))
     for protocol_name in PROTOCOL_NAMES:
         for beta in FIG8_BETAS:
-            gen = as_generator(rngs[idx])
-            idx += 1
+            gen = as_generator(next(rngs))
             # Cohort mode only exists at the report level: fast-mode cells
             # sample marginals, so the knob is a no-op (and key-neutral).
-            protocol = _cell_protocol(
-                protocol_name,
-                DEFAULT_EPSILON,
-                dataset.domain_size,
+            protocol = cell_protocol(
+                protocol_name, DEFAULT_EPSILON, dataset.domain_size,
                 olh_cohort if mode == "chunked" else None,
             )
             mga = MGAAttack(domain_size=dataset.domain_size, r=DEFAULT_R, rng=gen)
             ipa = InputPoisoningAttack(mga)
-            seeds = spawn_sequences(gen, trials if budget is None else budget.max_trials)
-            spec = None
-            if cache is not None:
-                params = _row_cell_params(protocol, mode, chunk_users, beta=beta, mode=mode)
-                spec = row_cell_spec(
-                    "figure8", dataset, protocol, (mga, ipa), params, seeds
-                )
-                if budget is not None:
-                    spec["budget"] = budget.fingerprint()
-
-            def task_for(seed: np.random.SeedSequence) -> _Fig8Task:
-                return _Fig8Task(dataset, protocol, mga, ipa, beta, mode, chunk_users, seed)
-
-            cell_meta: list[Optional[dict[str, object]]] = [None]
-
-            def compute() -> dict[str, object]:
-                stats, cell_meta[0] = _cell_trial_stats(
-                    _figure8_trial, task_for, seeds, workers, budget, cache, spec
-                )
-                return {
-                    "cell": f"{protocol_name}",
-                    "beta": beta,
-                    **_stat_columns(stats, columns),
-                }
-
-            rows.append(_cached_cell_row(cache, spec, compute, meta=lambda: cell_meta[0]))
-    return rows
+            seeds = trial_seeds(gen, trials, budget)
+            params = row_cell_params(protocol, mode, chunk_users, beta=beta, mode=mode)
+            yield Cell(
+                row_cell_spec("figure8", dataset, protocol, (mga, ipa), params, seeds),
+                seeds,
+                functools.partial(
+                    _Fig8Task, dataset, protocol, mga, ipa, beta, mode, chunk_users
+                ),
+                _figure8_trial,
+                functools.partial(
+                    stat_row, {"cell": protocol_name, "beta": beta},
+                    ("mse_mga", "mse_mga_ipa"),
+                ),
+            )
 
 
 FIG9_XIS = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -712,16 +553,15 @@ def _figure9_trial(task: _Fig9Task) -> dict[str, float]:
     }
 
 
+@exhibit("fig9", "LDPRecover-KM vs plain k-means under MGA-IPA")
 def figure9_rows(
     num_users: Optional[int] = 20_000,
     trials: int = 3,
     beta: float = DEFAULT_BETA,
     rng: RngLike = 9,
-    workers: Optional[int] = 1,
     olh_cohort: Optional[int] = None,
-    cache: Optional[CellCache] = None,
     budget: Optional[TrialBudget] = None,
-) -> list[dict[str, object]]:
+) -> Iterator[Cell]:
     """Figure 9: LDPRecover-KM vs. plain k-means under MGA-IPA (IPUMS).
 
     ``num_users`` rescales the population (sampled mode, so reduced by
@@ -732,71 +572,44 @@ def figure9_rows(
     switches the cells to adaptive CI-targeted trial allocation.
     """
     dataset = load_dataset("ipums", num_users)
-    columns = ("mse_before", "mse_kmeans", "mse_ldprecover_km")
-    rows = []
-    rngs = spawn(rng, len(PROTOCOL_NAMES) * len(FIG9_XIS))
-    idx = 0
+    rngs = iter(spawn(rng, len(PROTOCOL_NAMES) * len(FIG9_XIS)))
     for protocol_name in PROTOCOL_NAMES:
         for xi in FIG9_XIS:
-            gen = as_generator(rngs[idx])
-            idx += 1
-            protocol = _cell_protocol(
+            gen = as_generator(next(rngs))
+            protocol = cell_protocol(
                 protocol_name, DEFAULT_EPSILON, dataset.domain_size, olh_cohort
             )
             mga = MGAAttack(domain_size=dataset.domain_size, r=DEFAULT_R, rng=gen)
             attack = InputPoisoningAttack(mga)
-            seeds = spawn_sequences(gen, trials if budget is None else budget.max_trials)
-            spec = None
-            if cache is not None:
-                spec = row_cell_spec(
-                    "figure9",
-                    dataset,
-                    protocol,
-                    (attack,),
-                    {
-                        "beta": beta,
-                        "xi": xi,
-                        "num_subsets": FIG9_NUM_SUBSETS,
-                        "mode": "sampled",
-                    },
-                    seeds,
-                )
-                if budget is not None:
-                    spec["budget"] = budget.fingerprint()
-
-            def task_for(seed: np.random.SeedSequence) -> _Fig9Task:
-                return _Fig9Task(dataset, protocol, attack, beta, xi, seed)
-
-            cell_meta: list[Optional[dict[str, object]]] = [None]
-
-            def compute() -> dict[str, object]:
-                stats, cell_meta[0] = _cell_trial_stats(
-                    _figure9_trial, task_for, seeds, workers, budget, cache, spec
-                )
-                return {
-                    "cell": f"{protocol_name}",
-                    "xi": xi,
-                    **_stat_columns(stats, columns),
-                }
-
-            rows.append(_cached_cell_row(cache, spec, compute, meta=lambda: cell_meta[0]))
-    return rows
+            seeds = trial_seeds(gen, trials, budget)
+            params = {
+                "beta": beta, "xi": xi, "num_subsets": FIG9_NUM_SUBSETS, "mode": "sampled",
+            }
+            yield Cell(
+                row_cell_spec("figure9", dataset, protocol, (attack,), params, seeds),
+                seeds,
+                functools.partial(_Fig9Task, dataset, protocol, attack, beta, xi),
+                _figure9_trial,
+                functools.partial(
+                    stat_row, {"cell": protocol_name, "xi": xi},
+                    ("mse_before", "mse_kmeans", "mse_ldprecover_km"),
+                ),
+            )
 
 
 FIG10_BETAS = (0.05, 0.1, 0.15, 0.2, 0.25)
 FIG10_NUM_ATTACKERS = 5
 
 
+@exhibit("fig10", "multi-attacker adaptive attacks")
 def figure10_rows(
     num_users: Optional[int] = None,
     trials: int = 5,
     rng: RngLike = 10,
-    workers: Optional[int] = 1,
     chunk_users: Optional[int] = None,
     olh_cohort: Optional[int] = None,
-    cache: Optional[CellCache] = None,
     budget: Optional[TrialBudget] = None,
-) -> list[dict[str, object]]:
+) -> Iterator[Cell]:
     """Figure 10: LDPRecover against 5 independent adaptive attackers.
 
     ``num_users`` rescales the IPUMS population, ``trials`` rounds are
@@ -808,49 +621,23 @@ def figure10_rows(
     allocation.
     """
     dataset = load_dataset("ipums", num_users)
-    rows = []
-    rngs = spawn(rng, len(PROTOCOL_NAMES) * len(FIG10_BETAS))
-    idx = 0
+    rngs = iter(spawn(rng, len(PROTOCOL_NAMES) * len(FIG10_BETAS)))
+    mapping = {"mse_before": "mse_before", "mse_ldprecover": "mse_recover"}
     for protocol_name in PROTOCOL_NAMES:
         for beta in FIG10_BETAS:
-            gen = as_generator(rngs[idx])
-            idx += 1
-            protocol = _cell_protocol(protocol_name, DEFAULT_EPSILON, dataset.domain_size)
-            attackers = [
+            gen = as_generator(next(rngs))
+            protocol = cell_protocol(protocol_name, DEFAULT_EPSILON, dataset.domain_size)
+            attack = MultiAttacker([
                 AdaptiveAttack(domain_size=dataset.domain_size, rng=child)
                 for child in spawn(gen, FIG10_NUM_ATTACKERS)
-            ]
-            attack = MultiAttacker(attackers)
-            evaluation = evaluate_recovery(
-                dataset,
-                protocol,
-                attack,
-                beta=beta,
-                eta=DEFAULT_ETA,
-                trials=trials,
-                mode="fast",
-                with_star=False,
-                rng=gen,
-                workers=workers,
-                chunk_users=chunk_users,
-                olh_cohort=_cohort_for(protocol, olh_cohort),
-                cache=cache,
+            ])
+            yield recovery_cell(
+                dataset, protocol, attack, beta=beta, eta=DEFAULT_ETA,
+                trials=trials, mode="fast", with_star=False, rng=gen,
+                chunk_users=chunk_users, olh_cohort=_cohort_for(protocol, olh_cohort),
                 budget=budget,
+                rows=_columns({"cell": f"mul-aa-{protocol_name}", "beta": beta}, mapping),
             )
-            rows.append(
-                {
-                    "cell": f"mul-aa-{protocol_name}",
-                    "beta": beta,
-                    **_metric_columns(
-                        evaluation,
-                        {
-                            "mse_before": "mse_before",
-                            "mse_ldprecover": "mse_recover",
-                        },
-                    ),
-                }
-            )
-    return rows
 
 
 @dataclass(frozen=True)
@@ -880,16 +667,15 @@ def _table1_trial(task: _Table1Task) -> dict[str, float]:
     }
 
 
+@exhibit("table1", "LDPRecover on unpoisoned frequencies")
 def table1_rows(
     num_users: Optional[int] = None,
     trials: int = 5,
     rng: RngLike = 1,
-    workers: Optional[int] = 1,
     chunk_users: Optional[int] = None,
     olh_cohort: Optional[int] = None,
-    cache: Optional[CellCache] = None,
     budget: Optional[TrialBudget] = None,
-) -> list[dict[str, object]]:
+) -> Iterator[Cell]:
     """Table I: LDPRecover executed on *unpoisoned* frequencies (beta=0).
 
     ``num_users`` rescales both workloads, ``trials`` rounds are averaged
@@ -899,47 +685,28 @@ def table1_rows(
     ``cache`` reuses completed cells, and ``budget`` switches the cells
     to adaptive CI-targeted trial allocation.
     """
-    rows = []
     mode: SimulationMode = "chunked" if chunk_users is not None else "fast"
-    columns = ("mse_before_recovery", "mse_after_recovery")
     datasets = [load_dataset("ipums", num_users), load_dataset("fire", num_users)]
-    rngs = spawn(rng, len(datasets) * len(PROTOCOL_NAMES))
-    idx = 0
+    rngs = iter(spawn(rng, len(datasets) * len(PROTOCOL_NAMES)))
     for dataset in datasets:
         for protocol_name in PROTOCOL_NAMES:
-            gen = as_generator(rngs[idx])
-            idx += 1
+            gen = as_generator(next(rngs))
             # Cohort mode only exists at the report level (see figure8_rows).
-            protocol = _cell_protocol(
-                protocol_name,
-                DEFAULT_EPSILON,
-                dataset.domain_size,
+            protocol = cell_protocol(
+                protocol_name, DEFAULT_EPSILON, dataset.domain_size,
                 olh_cohort if mode == "chunked" else None,
             )
-            seeds = spawn_sequences(gen, trials if budget is None else budget.max_trials)
-            spec = None
-            if cache is not None:
-                params = _row_cell_params(
-                    protocol, mode, chunk_users, beta=0.0, eta=DEFAULT_ETA, mode=mode
-                )
-                spec = row_cell_spec("table1", dataset, protocol, (), params, seeds)
-                if budget is not None:
-                    spec["budget"] = budget.fingerprint()
-
-            def task_for(seed: np.random.SeedSequence) -> _Table1Task:
-                return _Table1Task(dataset, protocol, mode, chunk_users, seed)
-
-            cell_meta: list[Optional[dict[str, object]]] = [None]
-
-            def compute() -> dict[str, object]:
-                stats, cell_meta[0] = _cell_trial_stats(
-                    _table1_trial, task_for, seeds, workers, budget, cache, spec
-                )
-                return {
-                    "dataset": dataset.name,
-                    "protocol": protocol_name,
-                    **_stat_columns(stats, columns),
-                }
-
-            rows.append(_cached_cell_row(cache, spec, compute, meta=lambda: cell_meta[0]))
-    return rows
+            seeds = trial_seeds(gen, trials, budget)
+            params = row_cell_params(
+                protocol, mode, chunk_users, beta=0.0, eta=DEFAULT_ETA, mode=mode
+            )
+            yield Cell(
+                row_cell_spec("table1", dataset, protocol, (), params, seeds),
+                seeds,
+                functools.partial(_Table1Task, dataset, protocol, mode, chunk_users),
+                _table1_trial,
+                functools.partial(
+                    stat_row, {"dataset": dataset.name, "protocol": protocol_name},
+                    ("mse_before_recovery", "mse_after_recovery"),
+                ),
+            )

@@ -23,18 +23,21 @@ full experiment stack:
   them exactly like any paper figure, and a sharded scenario sweep
   merges bit-identical to the unsharded run.
 
-Adding a new workload is one :class:`ScenarioExhibit` registration
-(:func:`register_scenario`), not a fork of :mod:`repro.sim.figures`.
+Each scenario, like each paper figure, is a generator of
+:class:`~repro.sim.cells.Cell` values registered once with
+:func:`~repro.sim.cells.exhibit`; adding a new workload is one more such
+generator (see :mod:`repro.sim.cells`), not a fork of the executor.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, cast
+from typing import Any, Iterator, Optional, Sequence, cast
 
 import numpy as np
 
-from repro._rng import RngLike, as_generator, spawn, spawn_sequences
+from repro._rng import RngLike, as_generator, spawn
 from repro.attacks import MGAAttack, ScheduledAttack
 from repro.core.detection import detect_and_aggregate
 from repro.core.heavyhitters import promoted_items, tail_items, top_k_precision
@@ -45,31 +48,31 @@ from repro.datasets.base import Dataset
 from repro.datasets.synthetic import zipf_dataset
 from repro.exceptions import InvalidParameterError
 from repro.kv import KeyValueProtocol, KVPoisoningAttack, recover_key_value
-from repro.sim.cache import (
-    SHARD_PLACEHOLDER_KEY,
-    CellCache,
-    fingerprint_attack_schedule,
-    scenario_cell_spec,
+from repro.sim.cache import fingerprint_attack_schedule, scenario_cell_spec
+from repro.sim.cells import (  # the exhibit registry, re-exported here
+    SCENARIOS,
+    ScenarioExhibit,
+    register_scenario,
+    scenario_names,
+)
+from repro.sim.cells import (
+    Cell,
+    cell_protocol,
+    exhibit,
+    make_attack,
+    row_cell_params,
+    stat_columns,
+    stat_row,
+    trial_seeds,
+    trial_stats,
 )
 from repro.sim.engine import (
     MetricStats,
     TrialBlockStore,
     TrialBudget,
-    aggregate_metrics,
-    parallel_map,
     resolve_star_targets,
-    run_adaptive_trials,
 )
-from repro.sim.figures import (
-    DEFAULT_EPSILON,
-    _cached_cell_row,
-    _cell_protocol,
-    _cell_trial_stats,
-    _make_attack,
-    _row_cell_params,
-    _stat_columns,
-    load_dataset,
-)
+from repro.sim.figures import DEFAULT_EPSILON, DEFAULT_R, load_dataset
 from repro.sim.history import AttackSchedule, drift_dataset
 from repro.sim.metrics import frequency_gain, mse
 from repro.sim.outliers import ZScoreOutlierDetector
@@ -316,28 +319,15 @@ def evaluate_kv_recovery(
     if seeds is None:
         if trials < 1:
             raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-        seeds = spawn_sequences(rng, trials if budget is None else budget.max_trials)
+        seeds = trial_seeds(rng, trials, budget)
     elif not len(seeds):
         raise InvalidParameterError("seeds must be non-empty when provided")
     malicious_count(population.num_users, beta)  # surface m == 0 rounding early
-
-    def task_for(seed: np.random.SeedSequence) -> KVTrialTask:
-        return KVTrialTask(
-            population=population,
-            protocol=protocol,
-            attack=attack,
-            seed=seed,
-            beta=beta,
-            eta=eta,
-        )
-
-    if budget is not None:
-        outcome = run_adaptive_trials(
-            budget, kv_trial_metrics, task_for, list(seeds), workers=workers, store=store
-        )
-        return outcome.stats
-    tasks = [task_for(seed) for seed in seeds]
-    return aggregate_metrics(parallel_map(kv_trial_metrics, tasks, workers=workers))
+    task_for = functools.partial(
+        KVTrialTask, population, protocol, attack, beta=beta, eta=eta
+    )
+    stats, _, _ = trial_stats(kv_trial_metrics, task_for, seeds, workers, budget, store)
+    return stats
 
 
 #: Total privacy budgets of the ``kv`` sweep (split evenly key/value).
@@ -368,14 +358,13 @@ _KV_COLUMNS = (
 )
 
 
+@exhibit("kv", "key-value poisoning recovery across epsilon and beta")
 def kv_rows(
     num_users: Optional[int] = None,
     trials: int = 5,
     rng: RngLike = 11,
-    workers: Optional[int] = 1,
-    cache: Optional[CellCache] = None,
     budget: Optional[TrialBudget] = None,
-) -> list[dict[str, object]]:
+) -> Iterator[Cell]:
     """Scenario ``kv``: key-value recovery across privacy budget and beta.
 
     One cell per (epsilon, beta) on the :data:`KV_EPSILONS` ×
@@ -401,58 +390,30 @@ def kv_rows(
         num_users=_KV_DEFAULT_USERS if num_users is None else int(num_users),
     )
     targets = tail_items(population.frequencies, KV_TARGET_COUNT)
-    rows = []
-    rngs = spawn(rng, len(KV_EPSILONS) * len(KV_BETAS))
-    idx = 0
+    rngs = iter(spawn(rng, len(KV_EPSILONS) * len(KV_BETAS)))
     for epsilon in KV_EPSILONS:
         for beta in KV_BETAS:
-            gen = as_generator(rngs[idx])
-            idx += 1
+            gen = as_generator(next(rngs))
             protocol = KeyValueProtocol(
                 eps_key=epsilon / 2.0, eps_value=epsilon / 2.0, num_keys=KV_NUM_KEYS
             )
             attack = KVPoisoningAttack(
                 num_keys=KV_NUM_KEYS, targets=targets, target_bit=1
             )
-            seeds = spawn_sequences(gen, trials if budget is None else budget.max_trials)
-            spec = None
-            if cache is not None:
-                spec = scenario_cell_spec(
-                    "kv",
-                    population,
-                    protocol,
-                    (attack,),
-                    {"beta": beta, "epsilon": epsilon, "eta": DEFAULT_ETA},
-                    seeds,
-                )
-                if budget is not None:
-                    spec["budget"] = budget.fingerprint()
-
-            def task_for(seed: np.random.SeedSequence) -> KVTrialTask:
-                return KVTrialTask(
-                    population=population,
-                    protocol=protocol,
-                    attack=attack,
-                    seed=seed,
-                    beta=beta,
-                    eta=DEFAULT_ETA,
-                )
-
-            cell_meta: list[Optional[dict[str, object]]] = [None]
-
-            def compute() -> dict[str, object]:
-                stats, cell_meta[0] = _cell_trial_stats(
-                    kv_trial_metrics, task_for, seeds, workers, budget, cache, spec
-                )
-                return {
-                    "cell": attack.describe(),
-                    "epsilon": epsilon,
-                    "beta": beta,
-                    **_stat_columns(stats, _KV_COLUMNS),
-                }
-
-            rows.append(_cached_cell_row(cache, spec, compute, meta=lambda: cell_meta[0]))
-    return rows
+            seeds = trial_seeds(gen, trials, budget)
+            params = {"beta": beta, "epsilon": epsilon, "eta": DEFAULT_ETA}
+            head: dict[str, object] = {
+                "cell": attack.describe(), "epsilon": epsilon, "beta": beta,
+            }
+            yield Cell(
+                scenario_cell_spec("kv", population, protocol, (attack,), params, seeds),
+                seeds,
+                functools.partial(
+                    KVTrialTask, population, protocol, attack, beta=beta, eta=DEFAULT_ETA
+                ),
+                kv_trial_metrics,
+                functools.partial(stat_row, head, _KV_COLUMNS),
+            )
 
 
 # ----------------------------------------------------------------------
@@ -530,16 +491,44 @@ def _heavyhitter_trial(task: _HHTask) -> dict[str, float]:
     return out
 
 
+def _heavyhitter_payload(
+    head: dict[str, object], stats: dict[str, MetricStats], trials: int
+) -> dict[str, Any]:
+    """One heavy-hitter cell's payload: ``head`` plus every ``k``'s columns.
+
+    The trials do not depend on ``k``, so every :data:`HH_KS` entry is
+    read off the same ``stats`` and the payload carries all of them.
+    """
+    per_k = {
+        str(k): stat_columns(
+            {metric: stats[f"{metric}_k{k}"] for metric in _HH_COLUMNS}, _HH_COLUMNS
+        )
+        for k in HH_KS
+    }
+    return {**head, "per_k": per_k}
+
+
+def _heavyhitter_rows(payload: dict[str, Any]) -> list[dict[str, object]]:
+    """One heavy-hitter ``payload`` expanded into one row per ``k``."""
+    per_k = cast("dict[str, dict[str, object]]", payload["per_k"])
+    return [
+        {"cell": payload["cell"], "beta": payload["beta"], "k": k, **per_k[str(k)]}
+        for k in HH_KS
+    ]
+
+
+@exhibit(
+    "heavyhitter",
+    "top-k heavy-hitter promotion and repair across protocols, beta and k",
+)
 def heavyhitter_rows(
     num_users: Optional[int] = None,
     trials: int = 5,
     rng: RngLike = 12,
-    workers: Optional[int] = 1,
     chunk_users: Optional[int] = None,
     olh_cohort: Optional[int] = None,
-    cache: Optional[CellCache] = None,
     budget: Optional[TrialBudget] = None,
-) -> list[dict[str, object]]:
+) -> Iterator[Cell]:
     """Scenario ``heavyhitter``: top-k promotion and repair per cell.
 
     One simulated cell per (protocol, beta) over all three frequency
@@ -563,73 +552,34 @@ def heavyhitter_rows(
     dataset = load_dataset("ipums", num_users)
     mode: SimulationMode = "chunked" if chunk_users is not None else "fast"
     targets = tail_items(dataset.frequencies, HH_TARGET_COUNT)
-    rows = []
-    rngs = spawn(rng, len(PROTOCOL_NAMES) * len(HH_BETAS))
-    idx = 0
+    rngs = iter(spawn(rng, len(PROTOCOL_NAMES) * len(HH_BETAS)))
     for protocol_name in PROTOCOL_NAMES:
         for beta in HH_BETAS:
-            gen = as_generator(rngs[idx])
-            idx += 1
+            gen = as_generator(next(rngs))
             # Cohort mode only exists at the report level (see figure8_rows).
-            protocol = _cell_protocol(
-                protocol_name,
-                DEFAULT_EPSILON,
-                dataset.domain_size,
+            protocol = cell_protocol(
+                protocol_name, DEFAULT_EPSILON, dataset.domain_size,
                 olh_cohort if mode == "chunked" else None,
             )
             attack = MGAAttack(domain_size=dataset.domain_size, targets=targets)
-            seeds = spawn_sequences(gen, trials if budget is None else budget.max_trials)
-            spec = None
-            if cache is not None:
-                params = _row_cell_params(
-                    protocol, mode, chunk_users,
-                    beta=beta, ks=list(HH_KS), eta=DEFAULT_ETA, mode=mode,
-                )
-                spec = scenario_cell_spec(
-                    "heavyhitter", dataset, protocol, (attack,), params, seeds
-                )
-                if budget is not None:
-                    spec["budget"] = budget.fingerprint()
-
-            def task_for(seed: np.random.SeedSequence) -> _HHTask:
-                return _HHTask(
-                    dataset, protocol, attack, beta, HH_KS, DEFAULT_ETA,
-                    mode, chunk_users, seed,
-                )
-
-            cell_meta: list[Optional[dict[str, object]]] = [None]
-
-            def compute() -> dict[str, object]:
-                # One cell per (protocol, beta): the simulation does not
-                # depend on k, so every HH_KS entry is read off the same
-                # trials and the cached payload carries all of them.
-                stats, cell_meta[0] = _cell_trial_stats(
-                    _heavyhitter_trial, task_for, seeds, workers, budget, cache, spec
-                )
-                per_k = {
-                    str(k): _stat_columns(
-                        {metric: stats[f"{metric}_k{k}"] for metric in _HH_COLUMNS},
-                        _HH_COLUMNS,
-                    )
-                    for k in HH_KS
-                }
-                return {"cell": f"mga-{protocol_name}", "beta": beta, "per_k": per_k}
-
-            payload = _cached_cell_row(cache, spec, compute, meta=lambda: cell_meta[0])
-            if SHARD_PLACEHOLDER_KEY in payload:
-                # Placeholder payload from the shard/enumeration cache
-                # adapters (the cell belongs to another shard, or only its
-                # spec is being recorded): those callers discard the rows,
-                # so pass it through instead of expanding.  Any other
-                # payload must carry the per-k schema — fail loudly if not.
-                rows.append(payload)
-                continue
-            per_k = cast("dict[str, dict[str, object]]", payload["per_k"])
-            for k in HH_KS:
-                rows.append(
-                    {"cell": payload["cell"], "beta": beta, "k": k, **per_k[str(k)]}
-                )
-    return rows
+            seeds = trial_seeds(gen, trials, budget)
+            params = row_cell_params(
+                protocol, mode, chunk_users,
+                beta=beta, ks=list(HH_KS), eta=DEFAULT_ETA, mode=mode,
+            )
+            yield Cell(
+                scenario_cell_spec("heavyhitter", dataset, protocol, (attack,), params, seeds),
+                seeds,
+                functools.partial(
+                    _HHTask, dataset, protocol, attack, beta, HH_KS, DEFAULT_ETA,
+                    mode, chunk_users,
+                ),
+                _heavyhitter_trial,
+                functools.partial(
+                    _heavyhitter_payload, {"cell": f"mga-{protocol_name}", "beta": beta}
+                ),
+                _heavyhitter_rows,
+            )
 
 
 # ----------------------------------------------------------------------
@@ -798,15 +748,60 @@ def _epoch_columns(epoch: int) -> tuple[str, ...]:
     return _EPOCH_COLUMNS
 
 
+def _epochs_payload(
+    head: dict[str, object], stats: dict[str, MetricStats], trials: int
+) -> dict[str, Any]:
+    """One epochs cell's payload: ``head`` plus every epoch's columns.
+
+    Every epoch is read off the same streamed trials, so the payload
+    carries all of them (the ``per_k`` pattern of the heavy-hitter sweep).
+    """
+    per_epoch = {
+        str(epoch): stat_columns(
+            {metric: stats[f"{metric}_e{epoch}"] for metric in _epoch_columns(epoch)},
+            _epoch_columns(epoch),
+        )
+        for epoch in range(EPOCH_COUNT)
+    }
+    return {**head, "per_epoch": per_epoch}
+
+
+def _epochs_rows(payload: dict[str, Any]) -> list[dict[str, object]]:
+    """One epochs ``payload`` expanded into one row per epoch."""
+    per_epoch = cast("dict[str, dict[str, object]]", payload["per_epoch"])
+    betas = cast("list[float]", payload["betas"])
+    rows: list[dict[str, object]] = []
+    for epoch in range(EPOCH_COUNT):
+        row: dict[str, object] = {
+            "cell": payload["cell"],
+            "schedule": payload["schedule"],
+            "collectors": payload["collectors"],
+            "epoch": epoch,
+            "beta": betas[epoch],
+            **per_epoch[str(epoch)],
+        }
+        if epoch < EPOCH_HISTORY_MIN:
+            # The exporters require uniform columns across rows, so
+            # warm-up epochs (no usable history yet) carry null
+            # detection scores instead of omitting the columns.
+            row["detection_f1"] = None
+            row["detection_f1±"] = None
+        rows.append(row)
+    return rows
+
+
+@exhibit(
+    "epochs",
+    "evolving-population recovery per epoch under drift and "
+    "mid-stream attack schedules, streamed through the recovery service",
+)
 def epochs_rows(
     num_users: Optional[int] = None,
     trials: int = 5,
     rng: RngLike = 13,
-    workers: Optional[int] = 1,
     chunk_users: Optional[int] = None,
-    cache: Optional[CellCache] = None,
     budget: Optional[TrialBudget] = None,
-) -> list[dict[str, object]]:
+) -> Iterator[Cell]:
     """Scenario ``epochs``: per-epoch recovery quality under drift + schedules.
 
     One simulated cell per (protocol, schedule) over all three frequency
@@ -842,101 +837,43 @@ def epochs_rows(
         (protocol_name, EPOCH_SCHEDULES[1], EPOCH_COLLECTORS)
         for protocol_name in PROTOCOL_NAMES
     ]
-    rows = []
     rngs = spawn(rng, len(cells))
     for (protocol_name, schedule, collectors), cell_rng in zip(cells, rngs):
         gen = as_generator(cell_rng)
-        protocol = _cell_protocol(protocol_name, DEFAULT_EPSILON, dataset.domain_size)
+        protocol = cell_protocol(protocol_name, DEFAULT_EPSILON, dataset.domain_size)
         scheduled = ScheduledAttack(
             MGAAttack(domain_size=dataset.domain_size, targets=targets),
             schedule,
             EPOCH_COUNT,
         )
-        seeds = spawn_sequences(gen, trials if budget is None else budget.max_trials)
-        spec = None
-        if cache is not None:
-            spec = scenario_cell_spec(
-                "epochs",
-                dataset,
-                protocol,
-                (scheduled.attack,),
-                {
-                    "schedule": fingerprint_attack_schedule(schedule),
-                    "epochs": EPOCH_COUNT,
-                    "drift": EPOCH_DRIFT,
-                    "eta": DEFAULT_ETA,
-                    "collectors": collectors,
-                },
-                seeds,
-            )
-            if budget is not None:
-                spec["budget"] = budget.fingerprint()
-
-        def task_for(seed: np.random.SeedSequence) -> _EpochTask:
-            return _EpochTask(
-                dataset=dataset,
-                protocol=protocol,
-                scheduled=scheduled,
-                drift=EPOCH_DRIFT,
-                eta=DEFAULT_ETA,
-                collectors=collectors,
-                chunk_users=chunk_users,
-                seed=seed,
-            )
-
-        cell_meta: list[Optional[dict[str, object]]] = [None]
-
-        def compute() -> dict[str, object]:
-            # One cell per (protocol, schedule, collectors): every epoch
-            # is read off the same streamed trials, so the cached payload
-            # carries all of them (the per_k pattern of heavyhitter_rows).
-            stats, cell_meta[0] = _cell_trial_stats(
-                _epoch_trial, task_for, seeds, workers, budget, cache, spec
-            )
-            per_epoch = {
-                str(epoch): _stat_columns(
-                    {
-                        metric: stats[f"{metric}_e{epoch}"]
-                        for metric in _epoch_columns(epoch)
-                    },
-                    _epoch_columns(epoch),
-                )
-                for epoch in range(EPOCH_COUNT)
-            }
-            return {
-                "cell": f"{schedule.kind}-{protocol_name}-c{collectors}",
-                "protocol": protocol_name,
-                "schedule": schedule.describe(),
-                "collectors": collectors,
-                "betas": list(schedule.betas(EPOCH_COUNT)),
-                "per_epoch": per_epoch,
-            }
-
-        payload = _cached_cell_row(cache, spec, compute, meta=lambda: cell_meta[0])
-        if SHARD_PLACEHOLDER_KEY in payload:
-            # Placeholder from the shard/enumeration cache adapters — the
-            # callers discard the rows, so pass it through unexpanded.
-            rows.append(payload)
-            continue
-        per_epoch = cast("dict[str, dict[str, object]]", payload["per_epoch"])
-        betas = cast("list[float]", payload["betas"])
-        for epoch in range(EPOCH_COUNT):
-            row: dict[str, object] = {
-                "cell": payload["cell"],
-                "schedule": payload["schedule"],
-                "collectors": payload["collectors"],
-                "epoch": epoch,
-                "beta": betas[epoch],
-                **per_epoch[str(epoch)],
-            }
-            if epoch < EPOCH_HISTORY_MIN:
-                # The exporters require uniform columns across rows, so
-                # warm-up epochs (no usable history yet) carry null
-                # detection scores instead of omitting the columns.
-                row["detection_f1"] = None
-                row["detection_f1±"] = None
-            rows.append(row)
-    return rows
+        seeds = trial_seeds(gen, trials, budget)
+        params = {
+            "schedule": fingerprint_attack_schedule(schedule),
+            "epochs": EPOCH_COUNT,
+            "drift": EPOCH_DRIFT,
+            "eta": DEFAULT_ETA,
+            "collectors": collectors,
+        }
+        head: dict[str, object] = {
+            "cell": f"{schedule.kind}-{protocol_name}-c{collectors}",
+            "protocol": protocol_name,
+            "schedule": schedule.describe(),
+            "collectors": collectors,
+            "betas": list(schedule.betas(EPOCH_COUNT)),
+        }
+        yield Cell(
+            scenario_cell_spec(
+                "epochs", dataset, protocol, (scheduled.attack,), params, seeds
+            ),
+            seeds,
+            functools.partial(
+                _EpochTask, dataset, protocol, scheduled, EPOCH_DRIFT, DEFAULT_ETA,
+                collectors, chunk_users,
+            ),
+            _epoch_trial,
+            functools.partial(_epochs_payload, head),
+            _epochs_rows,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -1030,14 +967,26 @@ def _defense_trial(task: _DefenseTask) -> dict[str, float]:
     return out
 
 
+def _defenses_payload(
+    head: dict[str, object], stats: dict[str, MetricStats], trials: int
+) -> dict[str, object]:
+    """One shoot-out cell's row: ``head``, the winning defense, the columns."""
+    winner = min(DEFENSE_METHODS, key=lambda m: stats[f"mse_{m}"].mean)
+    return {**head, "winner": winner, **stat_columns(stats, _DEFENSE_COLUMNS)}
+
+
+@exhibit(
+    "defenses",
+    "defense shoot-out: Detection, k-means, normalization, LDPRecover "
+    "and LDPRecover* on one (attack, epsilon, beta) grid with a winner "
+    "per regime",
+)
 def defenses_rows(
     num_users: Optional[int] = None,
     trials: int = 5,
     rng: RngLike = 14,
-    workers: Optional[int] = 1,
-    cache: Optional[CellCache] = None,
     budget: Optional[TrialBudget] = None,
-) -> list[dict[str, object]]:
+) -> Iterator[Cell]:
     """Scenario ``defenses``: the defense shoot-out with a winner per regime.
 
     One cell per (attack, epsilon, beta) regime on the
@@ -1061,7 +1010,6 @@ def defenses_rows(
     dataset = load_dataset(
         "ipums", _DEFENSE_DEFAULT_USERS if num_users is None else int(num_users)
     )
-    rows = []
     cells = [
         (attack_kind, epsilon, beta)
         for attack_kind in DEFENSE_ATTACKS
@@ -1071,178 +1019,23 @@ def defenses_rows(
     rngs = spawn(rng, len(cells))
     for (attack_kind, epsilon, beta), cell_rng in zip(cells, rngs):
         gen = as_generator(cell_rng)
-        protocol = _cell_protocol("oue", epsilon, dataset.domain_size)
-        attack = _make_attack(attack_kind, dataset.domain_size, gen)
-        seeds = spawn_sequences(gen, trials if budget is None else budget.max_trials)
-        spec = None
-        if cache is not None:
-            spec = scenario_cell_spec(
-                "defenses",
-                dataset,
-                protocol,
-                (attack,),
-                {
-                    "beta": beta,
-                    "epsilon": epsilon,
-                    "eta": DEFAULT_ETA,
-                    "aa_top_k": 5,
-                    "mode": "sampled",
-                },
-                seeds,
-            )
-            if budget is not None:
-                spec["budget"] = budget.fingerprint()
-
-        def task_for(seed: np.random.SeedSequence) -> _DefenseTask:
-            return _DefenseTask(
-                dataset=dataset,
-                protocol=protocol,
-                attack=attack,
-                beta=beta,
-                eta=DEFAULT_ETA,
-                aa_top_k=5,
-                seed=seed,
-            )
-
-        cell_meta: list[Optional[dict[str, object]]] = [None]
-
-        def compute() -> dict[str, object]:
-            stats, cell_meta[0] = _cell_trial_stats(
-                _defense_trial, task_for, seeds, workers, budget, cache, spec
-            )
-            winner = min(DEFENSE_METHODS, key=lambda m: stats[f"mse_{m}"].mean)
-            return {
-                "cell": f"{attack_kind}-oue",
-                "attack": attack_kind,
-                "epsilon": epsilon,
-                "beta": beta,
-                "winner": winner,
-                **_stat_columns(stats, _DEFENSE_COLUMNS),
-            }
-
-        rows.append(_cached_cell_row(cache, spec, compute, meta=lambda: cell_meta[0]))
-    return rows
-
-
-# ----------------------------------------------------------------------
-# The scenario registry
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ScenarioExhibit:
-    """One registered scenario sweep: a generator plus its engine knobs.
-
-    ``name`` is the registry key (the CLI's ``--exhibit`` value),
-    ``description`` the one-liner shown by ``ldprecover list``, and
-    ``rows`` the generator callable (``kv_rows``-shaped: it must accept
-    ``num_users``, ``trials``, ``rng``, ``workers`` and ``cache``
-    keywords, plus ``budget`` to support adaptive CI-targeted sweeps).
-    ``uses_chunk_users`` / ``uses_olh_cohort`` declare which
-    optional engine knobs the generator additionally accepts — the sweep
-    dispatch (:meth:`run`) forwards only declared knobs, and
-    :meth:`repro.sim.shard.SweepConfig.digest` drops undeclared ones so
-    workers passing an inapplicable flag still report under the same
-    sweep digest.
-    """
-
-    name: str
-    description: str
-    rows: Callable[..., list[dict[str, object]]]
-    uses_chunk_users: bool = False
-    uses_olh_cohort: bool = False
-
-    def run(
-        self,
-        *,
-        num_users: Optional[int] = None,
-        trials: int = 5,
-        rng: RngLike = None,
-        workers: Optional[int] = 1,
-        chunk_users: Optional[int] = None,
-        olh_cohort: Optional[int] = None,
-        cache: Optional[CellCache] = None,
-        budget: Optional[TrialBudget] = None,
-    ) -> list[dict[str, object]]:
-        """Execute the scenario sweep and return its exhibit rows.
-
-        ``num_users`` / ``trials`` / ``rng`` / ``workers`` / ``cache``
-        forward to the generator unconditionally; ``chunk_users`` and
-        ``olh_cohort`` forward only when the exhibit declares support for
-        them (undeclared knobs are dropped — they cannot shape the
-        cells, exactly like the figure generators that ignore them), and
-        ``budget`` forwards only when one is actually set, so generators
-        that predate adaptive budgets keep working for fixed-budget
-        sweeps (requesting ``--target-ci`` against one fails loudly).
-        """
-        kwargs: dict[str, object] = {
-            "num_users": num_users,
-            "trials": trials,
-            "rng": rng,
-            "workers": workers,
-            "cache": cache,
+        protocol = cell_protocol("oue", epsilon, dataset.domain_size)
+        attack = make_attack(attack_kind, dataset.domain_size, gen, DEFAULT_R)
+        seeds = trial_seeds(gen, trials, budget)
+        params = {
+            "beta": beta, "epsilon": epsilon, "eta": DEFAULT_ETA, "aa_top_k": 5,
+            "mode": "sampled",
         }
-        if budget is not None:
-            kwargs["budget"] = budget
-        if self.uses_chunk_users:
-            kwargs["chunk_users"] = chunk_users
-        if self.uses_olh_cohort:
-            kwargs["olh_cohort"] = olh_cohort
-        return self.rows(**kwargs)
-
-
-#: Registered scenario exhibits by name; :class:`repro.sim.shard.SweepConfig`
-#: and the CLI dispatch any name in here exactly like a paper figure.
-SCENARIOS: dict[str, ScenarioExhibit] = {
-    "kv": ScenarioExhibit(
-        name="kv",
-        description="key-value poisoning recovery across epsilon and beta",
-        rows=kv_rows,
-    ),
-    "heavyhitter": ScenarioExhibit(
-        name="heavyhitter",
-        description="top-k heavy-hitter promotion and repair across protocols, beta and k",
-        rows=heavyhitter_rows,
-        uses_chunk_users=True,
-        uses_olh_cohort=True,
-    ),
-    "epochs": ScenarioExhibit(
-        name="epochs",
-        description=(
-            "evolving-population recovery per epoch under drift and "
-            "mid-stream attack schedules, streamed through the recovery service"
-        ),
-        rows=epochs_rows,
-        uses_chunk_users=True,
-    ),
-    "defenses": ScenarioExhibit(
-        name="defenses",
-        description=(
-            "defense shoot-out: Detection, k-means, normalization, LDPRecover "
-            "and LDPRecover* on one (attack, epsilon, beta) grid with a winner "
-            "per regime"
-        ),
-        rows=defenses_rows,
-    ),
-}
-
-
-def scenario_names() -> tuple[str, ...]:
-    """Registered scenario exhibit names, in registration order."""
-    return tuple(SCENARIOS)
-
-
-def register_scenario(exhibit: ScenarioExhibit) -> None:
-    """Add ``exhibit`` to the :data:`SCENARIOS` registry.
-
-    The name must not collide with an existing scenario or with a paper
-    figure (:attr:`repro.sim.shard.SweepConfig.FIGURES`); once
-    registered, ``SweepConfig(figure=exhibit.name)`` — and therefore
-    ``ldprecover run|shard --exhibit <name>`` — dispatches it like any
-    built-in exhibit.
-    """
-    from repro.sim.shard import SweepConfig  # deferred: shard imports this module
-
-    if exhibit.name in SCENARIOS or exhibit.name in SweepConfig.FIGURES:
-        raise InvalidParameterError(
-            f"scenario name {exhibit.name!r} is already taken"
+        head: dict[str, object] = {
+            "cell": f"{attack_kind}-oue", "attack": attack_kind, "epsilon": epsilon,
+            "beta": beta,
+        }
+        yield Cell(
+            scenario_cell_spec("defenses", dataset, protocol, (attack,), params, seeds),
+            seeds,
+            functools.partial(
+                _DefenseTask, dataset, protocol, attack, beta, DEFAULT_ETA, 5
+            ),
+            _defense_trial,
+            functools.partial(_defenses_payload, head),
         )
-    SCENARIOS[exhibit.name] = exhibit

@@ -9,21 +9,23 @@ machines:
 * :class:`SweepConfig` names one exhibit sweep — the same knobs the CLI's
   ``run`` subcommand takes — and can execute it against any cache.
 * :func:`enumerate_cells` lists the sweep's cells (key + kind, in
-  generation order) **without simulating anything**: the generators run
-  against a recording cache whose every lookup "hits" with a placeholder,
-  so the exact per-cell specs/seeds are reproduced at zero cost.
+  generation order) **without simulating anything**: an exhibit is a
+  generator of declared :class:`~repro.sim.cells.Cell` values, so
+  iterating it reproduces every cell's exact spec and seeds at zero cost.
 * :func:`run_shard` executes one shard's share of the cells through the
-  ordinary engine, writing results into the shared cache.  Cells are
-  assigned either **statically** (``shard_index``/``shard_count``,
-  deterministic hash-mod over the canonical key — see
+  cell executor (:func:`repro.sim.cells.run_cell` with a shard
+  :class:`~repro.sim.cells.ShardPolicy`), writing results into the
+  shared cache.  Cells are assigned either **statically**
+  (``shard_index``/``shard_count``, deterministic hash-mod over the
+  canonical key — see
   :func:`shard_of_key`) or **dynamically** via :class:`ClaimQueue`
   work-stealing: atomic ``.claim`` files next to the cache entries, with
   a stale-claim TTL so a crashed worker's cells are re-claimable.
 * :func:`sweep_status` reports done / claimed / missing cells, and
   :func:`merge_sweep` renders the final rows from the fully populated
-  cache — bit-identical to an unsharded run, because every row is either
-  the stored payload itself or rebuilt from the same cached
-  ``RecoveryEvaluation``; per-shard timing statistics merge exactly via
+  cache — bit-identical to an unsharded run, because every row is
+  decoded from the same cached payload the computing shard stored;
+  per-shard timing statistics merge exactly via
   :meth:`repro.sim.engine.Welford.merge`.
 
 Determinism: a cell's spec (and therefore its key, its seeds, and its
@@ -42,6 +44,7 @@ running different code never share claims either.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import os
@@ -50,18 +53,12 @@ import socket
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Optional, Protocol
+from typing import Any, ClassVar, Iterable, Optional
 
 from repro.exceptions import InvalidParameterError, ShardIncompleteError
-from repro.sim import figures, scenarios
-from repro.sim.cache import (
-    SHARD_PLACEHOLDER_KEY,
-    CellBlockStore,
-    CellCache,
-    canonical_key,
-)
-from repro.sim.engine import TASK_COUNTER, TrialBudget, Welford
-from repro.sim.experiment import RecoveryEvaluation
+from repro.sim.cache import CellBlockStore, CellCache, canonical_key
+from repro.sim.cells import SCENARIOS, Cell, ShardPolicy, run_cell, run_cells
+from repro.sim.engine import TASK_COUNTER, TrialBlockStore, TrialBudget, Welford
 
 __all__ = [
     "DEFAULT_CLAIM_TTL",
@@ -91,17 +88,16 @@ DEFAULT_CLAIM_TTL = 1800.0
 class SweepConfig:
     """One exhibit sweep: which figure to regenerate, with which knobs.
 
-    Mirrors the CLI's ``run``/``shard`` flags — ``figure`` picks the
-    generator (a paper figure from :attr:`FIGURES` or a registered
-    scenario exhibit from :data:`repro.sim.scenarios.SCENARIOS`),
-    ``dataset``/``parameter`` apply to the exhibits that take
-    them, ``num_users``/``trials``/``seed`` shape the cells, and
-    ``workers``/``chunk_users``/``olh_cohort`` are forwarded to the
-    engine.  Only ``workers`` is a pure execution knob that shards may
-    vary freely (it never enters a cell key); every other field must
-    match across the fleet — including ``chunk_users``, whose *presence*
-    switches fast-mode exhibits to ``mode="chunked"``, a spec field of
-    every cell key (and whose resolved size additionally keys
+    Mirrors the CLI's ``run``/``shard`` flags — ``figure`` picks a
+    registered exhibit (:data:`repro.sim.cells.SCENARIOS`: the paper's
+    figures and the scenario sweeps), ``dataset``/``parameter`` apply to
+    the exhibits that take them, ``num_users``/``trials``/``seed`` shape
+    the cells, and ``workers``/``chunk_users``/``olh_cohort`` are
+    forwarded to the engine.  Only ``workers`` is a pure execution knob
+    that shards may vary freely (it never enters a cell key); every other
+    field must match across the fleet — including ``chunk_users``, whose
+    *presence* switches fast-mode exhibits to ``mode="chunked"``, a spec
+    field of every cell key (and whose resolved size additionally keys
     cohort-mode OLH cells).  ``target_ci``/``max_trials``/``trial_batch``
     select adaptive CI-targeted trial allocation (see :meth:`budget`);
     they shape every cell's budget checkpoints and therefore must also
@@ -121,21 +117,13 @@ class SweepConfig:
     max_trials: Optional[int] = None
     trial_batch: Optional[int] = None
 
-    #: Paper figures runnable as sharded sweeps (the CLI's ``--figure``
-    #: names); scenario exhibits (:data:`repro.sim.scenarios.SCENARIOS`)
-    #: dispatch through the same machinery — see :meth:`exhibit_names`.
-    FIGURES = (
-        "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "table1",
-    )
-
-    @classmethod
-    def exhibit_names(cls) -> tuple[str, ...]:
-        """Every dispatchable exhibit: paper figures plus registered
-        scenario sweeps (``--figure`` / ``--exhibit`` choices)."""
-        return cls.FIGURES + scenarios.scenario_names()
+    @staticmethod
+    def exhibit_names() -> tuple[str, ...]:
+        """Every registered exhibit (the ``--figure`` / ``--exhibit`` choices)."""
+        return tuple(SCENARIOS)
 
     def __post_init__(self) -> None:
-        if self.figure not in self.exhibit_names():
+        if self.figure not in SCENARIOS:
             raise InvalidParameterError(
                 f"figure must be one of {list(self.exhibit_names())}, "
                 f"got {self.figure!r}"
@@ -162,6 +150,27 @@ class SweepConfig:
             batch=self.trial_batch if self.trial_batch is not None else self.trials,
         )
 
+    #: Sweep fields an exhibit may consume, by the generator parameter
+    #: that receives them.
+    KNOBS: ClassVar[dict[str, str]] = {
+        "dataset": "dataset_name",
+        "parameter": "parameter",
+        "num_users": "num_users",
+        "trials": "trials",
+        "seed": "rng",
+        "chunk_users": "chunk_users",
+        "olh_cohort": "olh_cohort",
+    }
+
+    def cells(self) -> Iterable[Cell]:
+        """The sweep's cells, in generation order (nothing runs yet).
+
+        The exhibit's generator receives the sweep fields its signature
+        names (see :attr:`KNOBS`) plus the :meth:`budget`.
+        """
+        knobs = {param: getattr(self, name) for name, param in self.KNOBS.items()}
+        return SCENARIOS[self.figure].generate(budget=self.budget(), **knobs)
+
     def run(self, cache: Optional[CellCache]) -> list[dict[str, object]]:
         """Execute the sweep against ``cache`` and return its exhibit rows.
 
@@ -169,85 +178,32 @@ class SweepConfig:
         subcommand, shard execution, enumeration, and merging — so every
         one of them reproduces the exact same cells.
         """
-        budget = self.budget()
-        scenario = scenarios.SCENARIOS.get(self.figure)
-        if scenario is not None:
-            return scenario.run(
-                num_users=self.num_users,
-                trials=self.trials,
-                rng=self.seed,
-                workers=self.workers,
-                chunk_users=self.chunk_users,
-                olh_cohort=self.olh_cohort,
-                cache=cache,
-                budget=budget,
-            )
-        common: dict[str, Any] = dict(
-            num_users=self.num_users,
-            trials=self.trials,
-            rng=self.seed,
-            workers=self.workers,
-            olh_cohort=self.olh_cohort,
-            cache=cache,
-            budget=budget,
+        return run_cells(
+            self.cells(), cache=cache, workers=self.workers, budget=self.budget()
         )
-        chunked = dict(common, chunk_users=self.chunk_users)
-        if self.figure == "fig3":
-            return figures.figure3_rows(dataset_name=self.dataset, **common)
-        if self.figure == "fig4":
-            return figures.figure4_rows(dataset_name=self.dataset, **common)
-        if self.figure in ("fig5", "fig6"):
-            dataset = {"fig5": "ipums", "fig6": "fire"}[self.figure]
-            return figures.sweep_rows(dataset, self.parameter, **chunked)
-        if self.figure == "fig7":
-            return figures.figure7_rows(**chunked)
-        if self.figure == "fig8":
-            return figures.figure8_rows(**chunked)
-        if self.figure == "fig9":
-            return figures.figure9_rows(**common)
-        if self.figure == "fig10":
-            return figures.figure10_rows(**chunked)
-        if self.figure == "table1":
-            return figures.table1_rows(**chunked)
-        raise AssertionError(f"unhandled figure {self.figure!r}")  # pragma: no cover
 
     def digest(self) -> str:
         """Short stable id of this sweep's cell-defining fields.
 
         Groups shard reports of the same sweep together, so only fields
-        the chosen ``figure`` actually consumes participate: ``workers``
-        never (it cannot change the cells), ``dataset`` only for the
-        exhibits that take one (fig3/fig4), ``parameter`` only for the
-        sweeps (fig5/fig6), ``chunk_users`` only where the generator
-        accepts it.  A worker that passes a flag its figure ignores
-        (``--dataset fire`` on fig8) therefore still reports under the
-        same digest as every other worker of that sweep.  The adaptive
-        budget knobs participate only when at least one is set, so every
-        fixed-budget digest is byte-identical to what it was before the
-        knobs existed.
+        the chosen exhibit actually consumes participate: ``workers``
+        never (it cannot change the cells), the other :attr:`KNOBS` only
+        when the exhibit's generator takes them.  A worker that passes a
+        flag its exhibit ignores (``--dataset fire`` on fig8) therefore
+        still reports under the same digest as every other worker of that
+        sweep.  The adaptive budget knobs participate only when at least
+        one is set, so every fixed-budget digest is byte-identical to what
+        it was before the knobs existed.
         """
         spec = asdict(self)
         spec.pop("workers")
         if self.budget() is None:
             for knob in ("target_ci", "max_trials", "trial_batch"):
                 spec.pop(knob)
-        scenario = scenarios.SCENARIOS.get(self.figure)
-        if scenario is not None:
-            # Scenario generators never take dataset/parameter; the other
-            # engine knobs participate only when the exhibit declares them.
-            spec.pop("dataset")
-            spec.pop("parameter")
-            if not scenario.uses_chunk_users:
-                spec.pop("chunk_users")
-            if not scenario.uses_olh_cohort:
-                spec.pop("olh_cohort")
-            return canonical_key(spec)[:12]
-        if self.figure not in ("fig3", "fig4"):
-            spec.pop("dataset")
-        if self.figure not in ("fig5", "fig6"):
-            spec.pop("parameter")
-        if self.figure in ("fig3", "fig4", "fig9"):
-            spec.pop("chunk_users")
+        taken = SCENARIOS[self.figure].knobs()
+        for name, param in self.KNOBS.items():
+            if param not in taken:
+                spec.pop(name)
         return canonical_key(spec)[:12]
 
 
@@ -263,82 +219,20 @@ class EnumeratedCell:
     kind: str
 
 
-def _placeholder_evaluation(spec: dict[str, Any]) -> RecoveryEvaluation:
-    """A throwaway :class:`RecoveryEvaluation` standing in for a cell that
-    this process will not simulate; its metric fields are defaults and the
-    rows built from it are discarded (only ``spec``'s identity matters)."""
-    return RecoveryEvaluation(
-        dataset=str((spec.get("dataset") or {}).get("name", "?")),
-        protocol=str((spec.get("protocol") or {}).get("__type__", "?")),
-        attack="placeholder",
-        beta=float(spec.get("beta", 0.0)),
-        eta=float(spec.get("eta", 0.0)),
-        trials=int(spec.get("trials", 0)),
-    )
-
-
-#: Marker key identifying placeholder rows produced for skipped cells
-#: (the shared :data:`repro.sim.cache.SHARD_PLACEHOLDER_KEY`, so row
-#: generators can recognize pass-through payloads without importing this
-#: module).
-_PLACEHOLDER = SHARD_PLACEHOLDER_KEY
-
-
-class _RecordingCache(CellCache):
-    """A cache whose every lookup hits with a placeholder: running a
-    generator against it records each cell's spec (in generation order)
-    while executing zero simulation tasks and touching no disk."""
-
-    def __init__(self) -> None:
-        super().__init__(cache_dir=os.devnull, tag="enumeration")
-        self.specs: list[dict[str, Any]] = []
-
-    def _record(self, spec: dict[str, Any]) -> None:
-        self.specs.append(spec)
-
-    def get(self, spec: dict[str, Any]) -> Optional[dict[str, Any]]:
-        """Record ``spec`` and report a (placeholder) hit."""
-        self._record(spec)
-        return {_PLACEHOLDER: True}
-
-    def get_evaluation(self, spec: dict[str, Any]) -> Optional[RecoveryEvaluation]:
-        """Record ``spec`` and report a (placeholder) hit."""
-        self._record(spec)
-        return _placeholder_evaluation(spec)
-
-    def put(
-        self,
-        spec: dict[str, Any],
-        payload: dict[str, Any],
-        meta: Optional[dict[str, Any]] = None,
-    ) -> pathlib.Path:
-        """Unreachable in normal enumeration (every get hits); no disk IO."""
-        return pathlib.Path(os.devnull)  # pragma: no cover
-
-    def put_evaluation(
-        self,
-        spec: dict[str, Any],
-        evaluation: RecoveryEvaluation,
-        meta: Optional[dict[str, Any]] = None,
-    ) -> pathlib.Path:
-        """Unreachable in normal enumeration (every get hits); no disk IO."""
-        return pathlib.Path(os.devnull)  # pragma: no cover
-
-
 def enumerate_cells(config: SweepConfig) -> list[EnumeratedCell]:
     """List ``config``'s experimental cells without simulating any of them.
 
-    Runs the sweep's generator against a recording cache, so the cell
-    specs — including every per-trial seed — are byte-identical to what a
-    real run produces, and the canonical keys match the entries a real
-    run stores.  Order is generation order; duplicate specs (there are
-    none in the shipped exhibits) would keep their first position.
+    Iterates the sweep's cell generator, so the cell specs — including
+    every per-trial seed — are byte-identical to what a real run stores
+    under, and so are the canonical keys.  Order is generation order;
+    duplicate specs (there are none in the shipped exhibits) would keep
+    their first position.
     """
-    recorder = _RecordingCache()
-    config.run(recorder)
+    budget = config.budget()
     cells: list[EnumeratedCell] = []
     seen: set[str] = set()
-    for spec in recorder.specs:
+    for cell in config.cells():
+        spec = cell.spec_for(budget)
         key = canonical_key(spec)
         if key in seen:
             continue  # pragma: no cover - exhibits have no duplicate cells
@@ -515,28 +409,6 @@ class ClaimQueue:
 # ----------------------------------------------------------------------
 # Shard execution
 # ----------------------------------------------------------------------
-class ShardPolicy(Protocol):
-    """Cell-ownership strategy consulted by :class:`_ShardExecutionCache`.
-
-    ``acquire`` decides whether this shard should compute the (missing)
-    cell; ``release`` returns ownership after the result is stored (a
-    no-op for static assignment).  ``rechecks`` declares whether a peer
-    may have completed the cell between the cache miss and a successful
-    acquire, in which case the store must be consulted again before
-    simulating.
-    """
-
-    rechecks: bool
-
-    def acquire(self, key: str) -> bool:
-        """Whether this shard should compute the missing cell ``key``."""
-        ...
-
-    def release(self, key: str) -> None:
-        """Return ownership of ``key`` once its result is stored."""
-        ...
-
-
 class _StaticPolicy:
     """Hash-mod ownership: no coordination files, no release needed."""
 
@@ -554,34 +426,19 @@ class _StaticPolicy:
     def release(self, key: str) -> None:  # claims only
         pass
 
+    def blocks(self, store: CellBlockStore) -> TrialBlockStore:
+        return store  # an owned cell is this shard's alone
+
 
 class _ClaimPolicy:
-    """Dynamic ownership through a :class:`ClaimQueue`."""
+    """Dynamic ownership through a :class:`ClaimQueue`.
 
-    #: A peer may complete and release a cell between our miss and our
-    #: successful acquire; re-check the store before simulating.
-    rechecks: bool = True
-
-    def __init__(self, queue: ClaimQueue) -> None:
-        self.queue = queue
-
-    def acquire(self, key: str) -> bool:
-        return self.queue.acquire(key)
-
-    def release(self, key: str) -> None:
-        self.queue.release(key)
-
-
-class _BudgetClaimPolicy:
-    """Claim-mode ownership for adaptive-budget sweeps: block-grained.
-
-    Under a :class:`~repro.sim.engine.TrialBudget`, arbitrating whole
-    cells would serialize a top-up behind one worker even when the cell
-    only needs more trial blocks.  This policy therefore lets *every*
-    claims-mode shard enter every missing cell's adaptive driver
-    (``acquire`` always succeeds, holding nothing) and moves the
-    exactly-once arbitration down to the cell's trial blocks — each block
-    range is claimed through the same :class:`ClaimQueue` via
+    With ``per_block`` (adaptive-budget sweeps) arbitrating whole cells
+    would serialize a top-up behind one worker even when the cell only
+    needs more trial blocks.  Every shard then enters every missing
+    cell's adaptive driver (``acquire`` always succeeds, holding nothing)
+    and the exactly-once arbitration moves down to the cell's trial
+    blocks — each block range is claimed through the same queue via
     :class:`_ClaimedBlockStore`, so a block is simulated by exactly one
     worker while its peers await the appended result.  Both workers then
     write byte-identical cell summaries (idempotent puts), which is why
@@ -589,19 +446,23 @@ class _BudgetClaimPolicy:
     not on cells.
     """
 
-    #: A peer may complete the whole cell while this shard polls blocks;
-    #: the pre-compute store re-check keeps the common case cheap.
+    #: A peer may complete and release a cell between our miss and our
+    #: successful acquire; re-check the store before simulating.
     rechecks: bool = True
 
-    def __init__(self, queue: ClaimQueue) -> None:
+    def __init__(self, queue: ClaimQueue, per_block: bool) -> None:
         self.queue = queue
+        self.per_block = per_block
 
     def acquire(self, key: str) -> bool:
-        """Always own ``key`` — block claims do the real arbitration."""
-        return True
+        return self.per_block or self.queue.acquire(key)
 
     def release(self, key: str) -> None:
-        """Nothing to release: no cell-level claim was taken."""
+        if not self.per_block:
+            self.queue.release(key)
+
+    def blocks(self, store: CellBlockStore) -> TrialBlockStore:
+        return _ClaimedBlockStore(store, self.queue)
 
 
 class _ClaimedBlockStore:
@@ -642,141 +503,6 @@ class _ClaimedBlockStore:
     def release(self, start: int, stop: int) -> None:
         """Release block ``[start, stop)``'s claim."""
         self.queue.release(self._claim_key(start, stop))
-
-
-class _ShardExecutionCache:
-    """Cache adapter steering a generator to compute only owned cells.
-
-    Wraps the shared :class:`CellCache`: lookups that hit serve the real
-    payload (another shard — or a previous pass — completed the cell);
-    misses consult the assignment policy.  Owned cells report the miss so
-    the generator computes and stores them; foreign cells return a
-    placeholder so the generator moves on without simulating.  Per-cell
-    wall times accumulate into a :class:`~repro.sim.engine.Welford`.
-    """
-
-    def __init__(self, base: CellCache, policy: ShardPolicy) -> None:
-        self.base = base
-        self.policy = policy
-        self.ran: list[str] = []
-        self.served: list[str] = []
-        self.skipped: list[str] = []
-        self.cell_seconds = Welford()
-        self._pending: dict[str, float] = {}
-
-    # -- lookup ---------------------------------------------------------
-    def _route(
-        self, spec: dict[str, Any], fetch: Callable[[dict[str, Any]], Optional[Any]]
-    ) -> tuple[str, Optional[Any], bool]:
-        """Resolve one lookup: ``(key, value-if-served, compute?)``.
-
-        ``fetch(spec)`` is the base cache's typed reader
-        (:meth:`CellCache.get` or :meth:`CellCache.get_evaluation`), so
-        decode failures are counted by the base's own once-per-lookup
-        logic.  Stats contract of a shard run: hits count the cells
-        served from the shared store, misses the cells this shard
-        simulates (including the rare unreadable/stale-shape entry it
-        heals) — cells skipped because a peer owns them touch neither
-        counter (existence is probed via :meth:`CellCache.contains`,
-        outside the stats).
-        """
-        key = self.base.key_for(spec)
-        counted_miss = False
-        if self.base.contains(key):
-            value = fetch(spec)
-            if value is not None:
-                self.served.append(key)
-                return key, value, False
-            counted_miss = True  # unreadable/stale entry: fetch counted it
-        if self.policy.acquire(key):
-            # Claim races lose to completed entries: a peer may finish and
-            # release a cell between our probe and our acquire, so re-check
-            # the store before simulating.  Static assignments skip this
-            # (exclusive by construction), as does the heal path — an
-            # entry that just failed to read should be recomputed, not
-            # re-fetched and double-counted.
-            if self.policy.rechecks and not counted_miss and self.base.contains(key):
-                value = fetch(spec)
-                if value is not None:
-                    self.policy.release(key)
-                    self.served.append(key)
-                    return key, value, False
-                counted_miss = True
-            if not counted_miss:
-                self.base.stats.misses += 1
-            self._pending[key] = time.monotonic()
-            return key, None, True
-        self.skipped.append(key)
-        return key, None, False
-
-    def get(self, spec: dict[str, Any]) -> Optional[dict[str, Any]]:
-        key, payload, compute = self._route(spec, self.base.get)
-        if payload is not None:
-            return payload
-        if compute:
-            return None
-        return {_PLACEHOLDER: True, "key": key}
-
-    def get_evaluation(self, spec: dict[str, Any]) -> Optional[RecoveryEvaluation]:
-        _, evaluation, compute = self._route(spec, self.base.get_evaluation)
-        if evaluation is not None:
-            return evaluation
-        if compute:
-            return None
-        return _placeholder_evaluation(spec)
-
-    # -- store ----------------------------------------------------------
-    def _complete(self, key: str) -> None:
-        started = self._pending.pop(key, None)
-        if started is not None:
-            self.cell_seconds.add(time.monotonic() - started)
-        self.ran.append(key)
-        self.policy.release(key)
-
-    def put(
-        self,
-        spec: dict[str, Any],
-        payload: dict[str, Any],
-        meta: Optional[dict[str, Any]] = None,
-    ) -> pathlib.Path:
-        path = self.base.put(spec, payload, meta=meta)
-        self._complete(self.base.key_for(spec))
-        return path
-
-    def put_evaluation(
-        self,
-        spec: dict[str, Any],
-        evaluation: RecoveryEvaluation,
-        meta: Optional[dict[str, Any]] = None,
-    ) -> pathlib.Path:
-        path = self.base.put_evaluation(spec, evaluation, meta=meta)
-        self._complete(self.base.key_for(spec))
-        return path
-
-    # -- appendable trial blocks (adaptive budgets) ---------------------
-    def block_store(self, stream_spec: dict[str, Any]) -> Any:
-        """The trial-block store of one owned cell's stream, claim-wrapped.
-
-        Generators running under an adaptive budget fetch this for every
-        cell they compute; in claims mode the returned store arbitrates
-        each block range through the shard's :class:`ClaimQueue`
-        (block-exact exactly-once), while static assignment — exclusive
-        per cell by construction — uses the base store directly.
-        """
-        store = self.base.block_store(stream_spec)
-        queue = getattr(self.policy, "queue", None)
-        if isinstance(queue, ClaimQueue):
-            return _ClaimedBlockStore(store, queue)
-        return store
-
-    # -- cleanup --------------------------------------------------------
-    def abandon_pending(self) -> None:
-        """Release claims of cells that started but never completed (an
-        exception unwound the generator), so peers can pick them up
-        immediately instead of waiting out the TTL."""
-        for key in list(self._pending):
-            self._pending.pop(key, None)
-            self.policy.release(key)
 
 
 def _shard_dir(cache: CellCache) -> pathlib.Path:
@@ -957,38 +683,37 @@ def run_shard(
         # Adaptive budgets arbitrate per trial block instead of per cell:
         # a top-up of an existing cell must not serialize behind a single
         # worker when its peers could be appending other blocks.
-        if config.budget() is not None:
-            policy = _BudgetClaimPolicy(queue)
-        else:
-            policy = _ClaimPolicy(queue)
+        policy = _ClaimPolicy(queue, per_block=config.budget() is not None)
         mode = "claims"
         label = queue.owner
-    runner = _ShardExecutionCache(cache, policy)
+    budget = config.budget()
+    counts: collections.Counter[str] = collections.Counter()
+    cell_seconds = Welford()
     tasks_before = TASK_COUNTER.count
     started = time.monotonic()
-    try:
-        config.run(runner)
-    finally:
-        runner.abandon_pending()
-    accumulator = runner.cell_seconds
-    # The runner saw every cell exactly once (run, served, or skipped), so
-    # its counters already total the sweep — no extra enumeration pass.
-    cells_total = len(runner.ran) + len(runner.served) + len(runner.skipped)
+    for cell in config.cells():
+        cell_started = time.monotonic()
+        status, _ = run_cell(
+            cell, cache=cache, workers=config.workers, budget=budget, policy=policy
+        )
+        counts[status] += 1
+        if status == "ran":
+            cell_seconds.add(time.monotonic() - cell_started)
     report = ShardReport(
         figure=config.figure,
         digest=config.digest(),
         label=label,
         mode=mode,
-        cells_total=cells_total,
-        cells_run=len(runner.ran),
-        cells_served=len(runner.served),
-        cells_skipped=len(runner.skipped),
+        cells_total=sum(counts.values()),
+        cells_run=counts["ran"],
+        cells_served=counts["served"],
+        cells_skipped=counts["skipped"],
         tasks_run=TASK_COUNTER.count - tasks_before,
         seconds=time.monotonic() - started,
         cell_seconds={
-            "count": accumulator.count,
-            "mean": accumulator.mean,
-            "m2": accumulator.m2,
+            "count": cell_seconds.count,
+            "mean": cell_seconds.mean,
+            "m2": cell_seconds.m2,
         },
         created_at=time.time(),
     )
@@ -1082,11 +807,10 @@ def merge_sweep(
 ) -> list[dict[str, object]]:
     """Render ``config``'s final exhibit rows from the shared ``cache``.
 
-    With every cell present this runs zero simulation trials: evaluation
-    cells rebuild their cached :class:`RecoveryEvaluation` payloads
-    (stats included, bit-identical to the original computation) and row
-    cells return their stored dicts, so the merged table equals the
-    unsharded run exactly.  When cells are missing,
+    With every cell present this runs zero simulation trials: every cell
+    decodes its rows from the payload the computing shard stored (stats
+    included, bit-identical to the original computation), so the merged
+    table equals the unsharded run exactly.  When cells are missing,
     ``require_complete=True`` (the default) raises
     :class:`~repro.exceptions.ShardIncompleteError` naming the count;
     ``require_complete=False`` computes the stragglers locally instead —

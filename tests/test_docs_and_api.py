@@ -163,7 +163,7 @@ class TestDocsSkeleton:
         from repro.sim.scenarios import SCENARIOS
 
         for name, exhibit in SCENARIOS.items():
-            assert exhibit.rows.__name__ in text, (
+            assert exhibit.cells.__name__ in text, (
                 f"docs/exhibits.md misses the generator of scenario {name!r}"
             )
 

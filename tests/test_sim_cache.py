@@ -17,6 +17,11 @@ from __future__ import annotations
 
 import json
 import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
@@ -530,9 +535,60 @@ class TestSourceDigest:
         (tmp_path / "sim" / "a.py").write_text("A = 1\n", encoding="utf-8")
         original = source_digest(tmp_path)
         (tmp_path / "sim" / "notes.txt").write_text("x", encoding="utf-8")
-        (tmp_path / "datasets").mkdir()
-        (tmp_path / "datasets" / "b.py").write_text("B = 1\n", encoding="utf-8")
+        (tmp_path / "lint").mkdir()
+        (tmp_path / "lint" / "b.py").write_text("B = 1\n", encoding="utf-8")
         assert source_digest(tmp_path) == original
+
+    def test_every_module_a_cell_loads_is_hashed(self):
+        """Regression: the digest once hashed only sim/core/protocols/
+        attacks, so edits to code trials run (``_rng``, ``datasets``,
+        ``kv``, ``serve`` for the epochs scenario) served stale rows.
+        One tiny cell of every exhibit runs in a fresh interpreter; every
+        ``repro`` module file it loaded must be in the digest's file set."""
+        import repro.sim.cache as cache_module
+
+        script = textwrap.dedent(
+            """
+            import json, sys
+            from repro.sim.cells import run_cell
+            from repro.sim.shard import SweepConfig
+            for name in SweepConfig.exhibit_names():
+                config = SweepConfig(name, num_users=2_000, trials=1)
+                run_cell(next(iter(config.cells())))
+            modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "repro"]
+            print(json.dumps(sorted(m.__file__ for m in modules)))
+            """
+        )
+        root = pathlib.Path(cache_module.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(root.parent)},
+        )
+        loaded = {pathlib.Path(p).resolve() for p in json.loads(result.stdout.splitlines()[-1])}
+        assert any(path.parts[-2:] == ("serve", "service.py") for path in loaded)
+        hashed = {path.resolve() for path in cache_module._source_files(root)}
+        assert loaded <= hashed, sorted(map(str, loaded - hashed))
+
+    def test_digest_tracks_trial_code_outside_sim_but_not_lint(self, tmp_path):
+        import repro.sim.cache as cache_module
+
+        tree = tmp_path / "repro"
+        shutil.copytree(
+            pathlib.Path(cache_module.__file__).resolve().parent.parent, tree,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        original = source_digest(tree)
+        lint_module = tree / "lint" / "runner.py"
+        lint_module.write_text(lint_module.read_text(encoding="utf-8") + "# edit\n")
+        assert source_digest(tree) == original
+        for module in ("kv/recover.py", "_rng.py", "datasets/ipums.py", "serve/service.py"):
+            path = tree / module
+            before = source_digest(tree)
+            path.write_text(path.read_text(encoding="utf-8") + "# edit\n")
+            assert source_digest(tree) != before, module
 
     def test_digest_change_invalidates_entries(self, tmp_path, monkeypatch):
         import repro.sim.cache as cache_module

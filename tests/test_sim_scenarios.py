@@ -22,6 +22,7 @@ import pytest
 from repro.exceptions import InvalidParameterError
 from repro.kv import KeyValueProtocol, KVPoisoningAttack
 from repro.sim.cache import CellCache, canonical_key, scenario_cell_spec
+from repro.sim.cells import Cell
 from repro.sim.engine import TASK_COUNTER
 from repro.sim.scenarios import (
     DEFENSE_ATTACKS,
@@ -59,6 +60,11 @@ HH_ROWS = HH_CELLS * len(HH_KS)
 EPOCH_CELLS = 3 * len(EPOCH_SCHEDULES) + 3
 EPOCH_ROWS = EPOCH_CELLS * EPOCH_COUNT
 DEFENSE_CELLS = len(DEFENSE_ATTACKS) * len(DEFENSE_EPSILONS) * len(DEFENSE_BETAS)
+
+
+def _toy_trial(seed):
+    """The one metric of the registry test's toy exhibit."""
+    return {"value": 1.0}
 
 
 class TestKVPopulation:
@@ -234,14 +240,15 @@ class TestEpochsRows:
         from repro.attacks import MGAAttack, ScheduledAttack
         from repro.core.heavyhitters import tail_items
         from repro.core.recover import DEFAULT_ETA
-        from repro.sim.figures import _cell_protocol, load_dataset
+        from repro.sim.cells import cell_protocol
+        from repro.sim.figures import load_dataset
         from repro.sim.history import AttackSchedule
         from repro.sim.scenarios import _EpochTask, _epoch_trial
 
         dataset = load_dataset("ipums", self.USERS)
         targets = tail_items(dataset.frequencies, 5)
         for name in ("grr", "oue", "olh"):
-            protocol = _cell_protocol(name, 0.5, dataset.domain_size)
+            protocol = cell_protocol(name, 0.5, dataset.domain_size)
             scheduled = ScheduledAttack(
                 MGAAttack(domain_size=dataset.domain_size, targets=targets),
                 AttackSchedule.burst(0.15, at=3),
@@ -437,30 +444,42 @@ class TestSweepConfigDispatch:
 
 class TestRegistry:
     def test_builtin_scenarios_registered(self):
-        assert scenario_names() == ("kv", "heavyhitter", "epochs", "defenses")
+        # The paper's figures register in the same registry, first.
+        assert scenario_names() == (
+            "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
+            "table1", "kv", "heavyhitter", "epochs", "defenses",
+        )
         for exhibit in SCENARIOS.values():
             assert exhibit.description
 
     def test_register_rejects_name_collisions(self):
-        taken = ScenarioExhibit(name="kv", description="dup", rows=kv_rows)
+        taken = ScenarioExhibit(name="kv", description="dup", cells=kv_rows)
         with pytest.raises(InvalidParameterError):
             register_scenario(taken)
-        figure = ScenarioExhibit(name="fig3", description="dup", rows=kv_rows)
+        figure = ScenarioExhibit(name="fig3", description="dup", cells=kv_rows)
         with pytest.raises(InvalidParameterError):
             register_scenario(figure)
 
     def test_registered_scenario_dispatches_like_a_figure(self):
         calls: dict[str, object] = {}
 
-        def toy_rows(num_users=None, trials=5, rng=0, workers=1, cache=None):
-            calls["args"] = (num_users, trials, rng, workers)
-            return [{"cell": "toy", "value": 1.0}]
+        def toy_cells(num_users=None, trials=5, rng=0):
+            calls["args"] = (num_users, trials, rng)
+            seeds = np.random.SeedSequence(rng).spawn(trials)
+            yield Cell(
+                scenario_cell_spec("toy", {"users": num_users}, None, (), {}, seeds),
+                seeds,
+                lambda seed: seed,
+                _toy_trial,
+                lambda stats, trials: {"cell": "toy", "value": stats["value"].mean},
+            )
 
-        register_scenario(ScenarioExhibit(name="toy", description="toy", rows=toy_rows))
+        register_scenario(ScenarioExhibit(name="toy", description="toy", cells=toy_cells))
         try:
             config = SweepConfig(figure="toy", num_users=123, trials=2, seed=7)
             assert config.run(None) == [{"cell": "toy", "value": 1.0}]
-            assert calls["args"] == (123, 2, 7, 1)
+            assert calls["args"] == (123, 2, 7)
+            assert len(enumerate_cells(config)) == 1
             assert "toy" in SweepConfig.exhibit_names()
             # The CLI sees a scenario registered *after* it was imported:
             # parser choices and `list` are computed from the live registry.
