@@ -57,6 +57,7 @@ from repro.sim.engine import (
 from repro.sim.pipeline import SimulationMode
 
 __all__ = [
+    "DEFAULT_R",
     "SCENARIOS",
     "Cell",
     "ScenarioExhibit",
@@ -75,6 +76,9 @@ __all__ = [
     "trial_seeds",
     "trial_stats",
 ]
+
+#: The paper's number of MGA target items (Section VI-A).
+DEFAULT_R = 10
 
 Stats = dict[str, MetricStats]
 Row = dict[str, object]
@@ -409,17 +413,17 @@ def cell_protocol(
     return cohorted
 
 
-def make_attack(kind: str, domain_size: int, rng: RngLike, r: int) -> PoisoningAttack:
+def make_attack(kind: str, domain_size: int, rng: RngLike) -> PoisoningAttack:
     """The attack ``kind`` (``"manip"``, ``"mga"`` or ``"aa"``) of one cell.
 
-    ``domain_size`` sizes it, ``rng`` seeds its construction and ``r`` is
-    MGA's number of target items.
+    ``domain_size`` sizes it and ``rng`` seeds its construction; MGA
+    targets :data:`DEFAULT_R` items.
     """
     gen = as_generator(rng)
     if kind == "manip":
         return ManipAttack(domain_size=domain_size, rng=gen)
     if kind == "mga":
-        return MGAAttack(domain_size=domain_size, r=r, rng=gen)
+        return MGAAttack(domain_size=domain_size, r=DEFAULT_R, rng=gen)
     if kind == "aa":
         return AdaptiveAttack(domain_size=domain_size, rng=gen)
     raise InvalidParameterError(f"unknown attack {kind!r}")

@@ -59,6 +59,7 @@ from repro.exceptions import InvalidParameterError
 from repro.protocols import PROTOCOL_NAMES, FrequencyOracle
 from repro.sim.cache import payload_to_evaluation, row_cell_spec
 from repro.sim.cells import (
+    DEFAULT_R,
     Cell,
     cell_protocol,
     exhibit,
@@ -73,11 +74,11 @@ from repro.sim.experiment import recovery_cell
 from repro.sim.metrics import mse
 from repro.sim.pipeline import SimulationMode, run_trial
 
-#: Paper defaults (Section VI-A): epsilon, malicious fraction, number of
-#: target items, server-side eta.
+#: Paper defaults (Section VI-A): epsilon, malicious fraction, server-side
+#: eta; the number of target items, ``DEFAULT_R``, comes from
+#: :mod:`repro.sim.cells`.
 DEFAULT_EPSILON = 0.5
 DEFAULT_BETA = 0.05
-DEFAULT_R = 10
 DEFAULT_ETA = 0.2
 
 
@@ -154,6 +155,7 @@ def figure3_rows(
     beta: float = DEFAULT_BETA,
     eta: float = DEFAULT_ETA,
     rng: RngLike = 3,
+    *,
     olh_cohort: Optional[int] = None,
     budget: Optional[TrialBudget] = None,
 ) -> Iterator[Cell]:
@@ -199,7 +201,7 @@ def figure3_rows(
     for (attack_kind, protocol_name), cell_rng in zip(FIG3_CELLS, rngs):
         gen = as_generator(cell_rng)
         protocol = cell_protocol(protocol_name, epsilon, dataset.domain_size, olh_cohort)
-        attack = make_attack(attack_kind, dataset.domain_size, gen, DEFAULT_R)
+        attack = make_attack(attack_kind, dataset.domain_size, gen)
         yield recovery_cell(
             dataset, protocol, attack, beta=beta, eta=eta, trials=trials,
             mode="sampled", with_detection=True, aa_top_k=DEFAULT_R // 2,
@@ -217,6 +219,7 @@ def figure4_rows(
     beta: float = DEFAULT_BETA,
     eta: float = DEFAULT_ETA,
     rng: RngLike = 4,
+    *,
     olh_cohort: Optional[int] = None,
     budget: Optional[TrialBudget] = None,
 ) -> Iterator[Cell]:
@@ -306,6 +309,7 @@ def sweep_rows(
     num_users: Optional[int] = None,
     trials: int = 5,
     rng: RngLike = 5,
+    *,
     chunk_users: Optional[int] = None,
     olh_cohort: Optional[int] = None,
     budget: Optional[TrialBudget] = None,
@@ -355,6 +359,7 @@ def figure5_rows(
     num_users: Optional[int] = None,
     trials: int = 5,
     rng: RngLike = 5,
+    *,
     chunk_users: Optional[int] = None,
     olh_cohort: Optional[int] = None,
     budget: Optional[TrialBudget] = None,
@@ -378,6 +383,7 @@ def figure6_rows(
     num_users: Optional[int] = None,
     trials: int = 5,
     rng: RngLike = 5,
+    *,
     chunk_users: Optional[int] = None,
     olh_cohort: Optional[int] = None,
     budget: Optional[TrialBudget] = None,
@@ -402,6 +408,7 @@ def figure7_rows(
     num_users: Optional[int] = None,
     trials: int = 5,
     rng: RngLike = 7,
+    *,
     chunk_users: Optional[int] = None,
     olh_cohort: Optional[int] = None,
     budget: Optional[TrialBudget] = None,
@@ -474,6 +481,7 @@ def figure8_rows(
     num_users: Optional[int] = None,
     trials: int = 5,
     rng: RngLike = 8,
+    *,
     chunk_users: Optional[int] = None,
     olh_cohort: Optional[int] = None,
     budget: Optional[TrialBudget] = None,
@@ -559,6 +567,7 @@ def figure9_rows(
     trials: int = 3,
     beta: float = DEFAULT_BETA,
     rng: RngLike = 9,
+    *,
     olh_cohort: Optional[int] = None,
     budget: Optional[TrialBudget] = None,
 ) -> Iterator[Cell]:
@@ -606,6 +615,7 @@ def figure10_rows(
     num_users: Optional[int] = None,
     trials: int = 5,
     rng: RngLike = 10,
+    *,
     chunk_users: Optional[int] = None,
     olh_cohort: Optional[int] = None,
     budget: Optional[TrialBudget] = None,
@@ -672,6 +682,7 @@ def table1_rows(
     num_users: Optional[int] = None,
     trials: int = 5,
     rng: RngLike = 1,
+    *,
     chunk_users: Optional[int] = None,
     olh_cohort: Optional[int] = None,
     budget: Optional[TrialBudget] = None,

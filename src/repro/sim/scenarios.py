@@ -72,7 +72,7 @@ from repro.sim.engine import (
     TrialBudget,
     resolve_star_targets,
 )
-from repro.sim.figures import DEFAULT_EPSILON, DEFAULT_R, load_dataset
+from repro.sim.figures import DEFAULT_EPSILON, load_dataset
 from repro.sim.history import AttackSchedule, drift_dataset
 from repro.sim.metrics import frequency_gain, mse
 from repro.sim.outliers import ZScoreOutlierDetector
@@ -363,6 +363,7 @@ def kv_rows(
     num_users: Optional[int] = None,
     trials: int = 5,
     rng: RngLike = 11,
+    *,
     budget: Optional[TrialBudget] = None,
 ) -> Iterator[Cell]:
     """Scenario ``kv``: key-value recovery across privacy budget and beta.
@@ -525,6 +526,7 @@ def heavyhitter_rows(
     num_users: Optional[int] = None,
     trials: int = 5,
     rng: RngLike = 12,
+    *,
     chunk_users: Optional[int] = None,
     olh_cohort: Optional[int] = None,
     budget: Optional[TrialBudget] = None,
@@ -799,6 +801,7 @@ def epochs_rows(
     num_users: Optional[int] = None,
     trials: int = 5,
     rng: RngLike = 13,
+    *,
     chunk_users: Optional[int] = None,
     budget: Optional[TrialBudget] = None,
 ) -> Iterator[Cell]:
@@ -985,6 +988,7 @@ def defenses_rows(
     num_users: Optional[int] = None,
     trials: int = 5,
     rng: RngLike = 14,
+    *,
     budget: Optional[TrialBudget] = None,
 ) -> Iterator[Cell]:
     """Scenario ``defenses``: the defense shoot-out with a winner per regime.
@@ -1020,7 +1024,7 @@ def defenses_rows(
     for (attack_kind, epsilon, beta), cell_rng in zip(cells, rngs):
         gen = as_generator(cell_rng)
         protocol = cell_protocol("oue", epsilon, dataset.domain_size)
-        attack = make_attack(attack_kind, dataset.domain_size, gen, DEFAULT_R)
+        attack = make_attack(attack_kind, dataset.domain_size, gen)
         seeds = trial_seeds(gen, trials, budget)
         params = {
             "beta": beta, "epsilon": epsilon, "eta": DEFAULT_ETA, "aa_top_k": 5,

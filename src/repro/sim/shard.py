@@ -431,14 +431,35 @@ class _StaticPolicy:
 
 
 class _ClaimPolicy:
-    """Dynamic ownership through a :class:`ClaimQueue`.
+    """Dynamic ownership through a :class:`ClaimQueue`."""
 
-    With ``per_block`` (adaptive-budget sweeps) arbitrating whole cells
-    would serialize a top-up behind one worker even when the cell only
-    needs more trial blocks.  Every shard then enters every missing
-    cell's adaptive driver (``acquire`` always succeeds, holding nothing)
-    and the exactly-once arbitration moves down to the cell's trial
-    blocks — each block range is claimed through the same queue via
+    #: A peer may complete and release a cell between our miss and our
+    #: successful acquire; re-check the store before simulating.
+    rechecks: bool = True
+
+    def __init__(self, queue: ClaimQueue) -> None:
+        self.queue = queue
+
+    def acquire(self, key: str) -> bool:
+        return self.queue.acquire(key)
+
+    def release(self, key: str) -> None:
+        self.queue.release(key)
+
+    def blocks(self, store: CellBlockStore) -> TrialBlockStore:
+        return _ClaimedBlockStore(store, self.queue)
+
+
+class _BudgetClaimPolicy:
+    """Claim-mode ownership for adaptive-budget sweeps: block-grained.
+
+    Under a :class:`~repro.sim.engine.TrialBudget`, arbitrating whole
+    cells would serialize a top-up behind one worker even when the cell
+    only needs more trial blocks.  This policy therefore lets *every*
+    claims-mode shard enter every missing cell's adaptive driver
+    (``acquire`` always succeeds, holding nothing) and moves the
+    exactly-once arbitration down to the cell's trial blocks — each block
+    range is claimed through the same :class:`ClaimQueue` via
     :class:`_ClaimedBlockStore`, so a block is simulated by exactly one
     worker while its peers await the appended result.  Both workers then
     write byte-identical cell summaries (idempotent puts), which is why
@@ -446,20 +467,19 @@ class _ClaimPolicy:
     not on cells.
     """
 
-    #: A peer may complete and release a cell between our miss and our
-    #: successful acquire; re-check the store before simulating.
+    #: A peer may complete the whole cell while this shard polls blocks;
+    #: the pre-compute store re-check keeps the common case cheap.
     rechecks: bool = True
 
-    def __init__(self, queue: ClaimQueue, per_block: bool) -> None:
+    def __init__(self, queue: ClaimQueue) -> None:
         self.queue = queue
-        self.per_block = per_block
 
     def acquire(self, key: str) -> bool:
-        return self.per_block or self.queue.acquire(key)
+        """Always own ``key`` — block claims do the real arbitration."""
+        return True
 
     def release(self, key: str) -> None:
-        if not self.per_block:
-            self.queue.release(key)
+        """Nothing to release: no cell-level claim was taken."""
 
     def blocks(self, store: CellBlockStore) -> TrialBlockStore:
         return _ClaimedBlockStore(store, self.queue)
@@ -683,7 +703,10 @@ def run_shard(
         # Adaptive budgets arbitrate per trial block instead of per cell:
         # a top-up of an existing cell must not serialize behind a single
         # worker when its peers could be appending other blocks.
-        policy = _ClaimPolicy(queue, per_block=config.budget() is not None)
+        if config.budget() is not None:
+            policy = _BudgetClaimPolicy(queue)
+        else:
+            policy = _ClaimPolicy(queue)
         mode = "claims"
         label = queue.owner
     budget = config.budget()

@@ -7,11 +7,14 @@ reproduction contract of DESIGN.md section 5.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError
 from repro.sim import figures
+from repro.sim.cells import SCENARIOS
 
 SCALE = 15_000  # users; keeps each exhibit under a couple of seconds
 
@@ -175,3 +178,20 @@ class TestTable1:
         others = [r for r in rows if r["protocol"] in ("oue", "olh")]
         ratios = [r["mse_after_recovery"] / r["mse_before_recovery"] for r in others]
         assert min(ratios) > 0.05
+
+
+class TestRowsSignatures:
+    """Every exhibit's knobs after ``rng`` are keyword-only."""
+
+    def test_knobs_after_rng_are_keyword_only(self):
+        for name, exhibit in SCENARIOS.items():
+            params = list(inspect.signature(exhibit.cells).parameters.values())
+            after = params[[p.name for p in params].index("rng") + 1:]
+            assert after, name
+            assert all(p.kind is p.KEYWORD_ONLY for p in after), name
+
+    def test_positional_workers_is_refused(self):
+        # workers used to follow rng; a call written that way must fail
+        # instead of binding 4 to chunk_users.
+        with pytest.raises(TypeError):
+            figures.figure7_rows(None, 5, 7, 4)

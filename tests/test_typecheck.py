@@ -2,7 +2,8 @@
 
 The pinned configuration (``mypy.ini``) covers the determinism-critical
 modules: the recovery math, the protocol layer whose attributes the cell
-cache fingerprints, the lint subsystem itself, and the cache/shard pair.
+cache fingerprints, the lint subsystem itself, the cache/shard pair and
+the cell executor.
 Locally the test skips when mypy is absent — it is a dev/CI tool, not a
 runtime dependency.
 """
@@ -38,7 +39,8 @@ def test_mypy_config_is_pinned():
     assert "check_untyped_defs = True" in config
     assert "warn_unused_ignores = True" in config
     for scoped in ("src/repro/core", "src/repro/protocols", "src/repro/lint",
-                   "src/repro/sim/cache.py", "src/repro/sim/shard.py",
+                   "src/repro/sim/cache.py", "src/repro/sim/cells.py",
+                   "src/repro/sim/shard.py",
                    "src/repro/sim/engine.py", "src/repro/sim/scenarios.py",
                    "src/repro/sim/figures.py"):
         assert scoped in config
