@@ -10,11 +10,21 @@ arrays of seeds and items.
 The map is ``H_seed(x) = mix64(mix64(x) XOR seed) mod g`` where ``mix64``
 is the splitmix64 finalizer.  Each user draws a fresh 64-bit ``seed``; the
 pair ``(seed, y)`` is the OLH report.
+
+The three OLH support scans — :func:`support_scan`, :func:`target_scan`
+and :func:`cohort_fold` — are the single dispatch point between the
+compiled kernel (:mod:`repro.protocols.kernel`), which fuses hash,
+compare and count in one allocation-free pass, and their numpy
+references (``*_reference``), which walk the (reports x items) hash grid
+in slices of at most ``chunk_cells`` cells.  The references are the
+fallback when no kernel can be built; both compute the same integers.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.protocols import kernel
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -135,6 +145,155 @@ def value_histograms(
     return np.bincount(keys.ravel(), minlength=num_groups * g).reshape(
         num_groups, g
     ).astype(np.int64)
+
+
+def _check_range(g: int) -> int:
+    g = int(g)
+    if not 2 <= g < 2**64:
+        raise ValueError(f"hash range g must be in [2, 2**64), got {g}")
+    return g
+
+
+def _reports(seeds: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Contiguous uint64 seeds and int64 values of one 1-D report batch."""
+    s = np.ascontiguousarray(seeds, dtype=np.uint64)
+    y = np.ascontiguousarray(values, dtype=np.int64)
+    if s.ndim != 1 or s.shape != y.shape:
+        raise ValueError(f"seeds/values must be equal-length 1-D arrays, got {s.shape}, {y.shape}")
+    return s, y
+
+
+def _run(
+    scan: str, items: np.ndarray, seeds: np.ndarray, data: np.ndarray, g: int, out: np.ndarray
+) -> np.ndarray:
+    """Call one kernel scan over ``mix64(items)`` and return ``out``."""
+    premix = mix64(items)
+    getattr(kernel.load(), scan)(
+        premix.ctypes.data, premix.size, seeds.ctypes.data, data.ctypes.data,
+        seeds.size, g, out.ctypes.data,
+    )
+    return out
+
+
+def support_scan(
+    seeds: np.ndarray, values: np.ndarray, domain_size: int, g: int, chunk_cells: int
+) -> np.ndarray:
+    """``C(v) = #{j : H_{seeds[j]}(v) = values[j]}`` for ``v < domain_size``.
+
+    Per-user OLH support counts (int64, length ``domain_size``).  Runs
+    the compiled kernel when it loads, else :func:`support_scan_reference`;
+    ``chunk_cells`` bounds the reference's grid slices only.
+    """
+    g = _check_range(g)
+    seeds, values = _reports(seeds, values)
+    if kernel.load() is None:
+        return support_scan_reference(seeds, values, domain_size, g, chunk_cells)
+    counts = np.zeros(domain_size, dtype=np.int64)
+    return _run("support_scan", np.arange(domain_size, dtype=np.uint64), seeds, values, g, counts)
+
+
+def support_scan_reference(
+    seeds: np.ndarray, values: np.ndarray, domain_size: int, g: int, chunk_cells: int
+) -> np.ndarray:
+    """numpy :func:`support_scan`: the (reports x domain) hash grid in
+    slices of at most ``chunk_cells`` cells."""
+    counts = np.zeros(domain_size, dtype=np.int64)
+    chunk = max(1, chunk_cells // domain_size)
+    domain = np.arange(domain_size, dtype=np.uint64)
+    for start in range(0, seeds.size, chunk):
+        grid = hash_items(seeds[start : start + chunk, None], domain[None, :], g)
+        matches = grid == values[start : start + chunk, None].astype(np.uint64)
+        counts += matches.sum(axis=0)
+    return counts
+
+
+def target_scan(
+    seeds: np.ndarray, values: np.ndarray, targets: np.ndarray, g: int, chunk_cells: int
+) -> np.ndarray:
+    """Per report ``j``, the number of ``targets`` ``t`` with ``H_{seeds[j]}(t) = values[j]``.
+
+    int64, one entry per report.  Kernel or :func:`target_scan_reference`,
+    like :func:`support_scan`.
+    """
+    g = _check_range(g)
+    seeds, values = _reports(seeds, values)
+    targets = np.ascontiguousarray(targets, dtype=np.uint64)
+    if kernel.load() is None:
+        return target_scan_reference(seeds, values, targets, g, chunk_cells)
+    return _run("target_scan", targets, seeds, values, g, np.zeros(seeds.size, dtype=np.int64))
+
+
+def target_scan_reference(
+    seeds: np.ndarray, values: np.ndarray, targets: np.ndarray, g: int, chunk_cells: int
+) -> np.ndarray:
+    """numpy :func:`target_scan`: the (reports x targets) hash grid in
+    slices of at most ``chunk_cells`` cells."""
+    out = np.zeros(seeds.size, dtype=np.int64)
+    chunk = max(1, chunk_cells // max(1, targets.size))
+    for start in range(0, seeds.size, chunk):
+        grid = hash_items(seeds[start : start + chunk, None], targets[None, :], g)
+        matches = grid == values[start : start + chunk, None].astype(np.uint64)
+        out[start : start + chunk] = matches.sum(axis=1)
+    return out
+
+
+def cohort_fold(
+    seeds: np.ndarray, histograms: np.ndarray, domain_size: int, g: int, chunk_cells: int
+) -> np.ndarray:
+    """``counts[v] = sum_k histograms[k, H_{seeds[k]}(v)]`` for ``v < domain_size``.
+
+    The fold of cohort-mode OLH aggregation: ``seeds`` are the ``K``
+    distinct cohort seeds, ``histograms`` their ``(K, g)`` reported-value
+    tallies (:func:`value_histograms`).  Kernel or
+    :func:`cohort_fold_reference`, like :func:`support_scan`.
+    """
+    g = _check_range(g)
+    seeds = np.ascontiguousarray(seeds, dtype=np.uint64)
+    histograms = np.ascontiguousarray(histograms, dtype=np.int64)
+    if seeds.ndim != 1 or histograms.shape != (seeds.size, g):
+        raise ValueError(
+            f"histograms must have shape (len(seeds), g) = {(seeds.size, g)}, "
+            f"got {histograms.shape}"
+        )
+    if kernel.load() is None:
+        return cohort_fold_reference(seeds, histograms, domain_size, g, chunk_cells)
+    counts = np.zeros(domain_size, dtype=np.int64)
+    return _run("cohort_fold", np.arange(domain_size, dtype=np.uint64), seeds, histograms, g, counts)
+
+
+def cohort_fold_reference(
+    seeds: np.ndarray, histograms: np.ndarray, domain_size: int, g: int, chunk_cells: int
+) -> np.ndarray:
+    """numpy :func:`cohort_fold`: one :func:`hash_domains` grid per slice
+    of seeds (at most ``chunk_cells`` cells), gathered through the
+    histograms."""
+    counts = np.zeros(domain_size, dtype=np.int64)
+    chunk = max(1, chunk_cells // domain_size)
+    for start in range(0, seeds.size, chunk):
+        grid = hash_domains(seeds[start : start + chunk], domain_size, g).astype(np.int64)
+        counts += np.take_along_axis(histograms[start : start + chunk], grid, axis=1).sum(axis=0)
+    return counts
+
+
+def target_histograms(
+    seeds: np.ndarray, targets: np.ndarray, g: int, chunk_cells: int
+) -> np.ndarray:
+    """``(K, g)`` table: entry ``[k, y]`` counts the targets ``t`` with
+    ``H_{seeds[k]}(t) = y``.
+
+    The per-seed buckets of cohort-mode target counting (a report's count
+    is its seed row's entry at its value).  O(K * len(targets)) hashes,
+    in slices of at most ``chunk_cells`` cells.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    targets = np.asarray(targets, dtype=np.uint64)
+    buckets = np.zeros((seeds.size, g), dtype=np.int64)
+    chunk = max(1, chunk_cells // max(1, targets.size))
+    for start in range(0, seeds.size, chunk):
+        grid = hash_items(seeds[start : start + chunk, None], targets[None, :], g)
+        rows = np.repeat(np.arange(grid.shape[0]), targets.size)
+        buckets[start : start + chunk] = value_histograms(rows, grid.ravel(), grid.shape[0], g)
+    return buckets
 
 
 def draw_seeds(n: int, rng: np.random.Generator) -> np.ndarray:

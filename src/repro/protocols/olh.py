@@ -12,9 +12,11 @@ hashes to the reported value uniformly).
 Two seed-drawing policies are supported:
 
 * **Per-user seeds** (default, the paper's protocol): every user draws a
-  fresh hash key, so aggregation must hash the full (users x domain) grid
-  — O(n*d) splitmix64 evaluations, walked in bounded slices of at most
-  ``chunk_cells`` grid cells.
+  fresh hash key, so aggregation must evaluate the hash on every (user,
+  item) pair — O(n*d) splitmix64 evaluations.  The compiled kernel
+  (:mod:`repro.protocols.kernel`) fuses hash, compare and count without
+  building that grid; the numpy fallback walks it in bounded slices of at
+  most ``chunk_cells`` grid cells.
 * **Seed cohorts** (``cohort=K``): each ``perturb`` batch draws ``K``
   fresh shared seeds and every user picks one uniformly.  A uniformly
   chosen random seed is still a uniformly random family member, so
@@ -81,16 +83,18 @@ class OLH(FrequencyOracle):
         distribution (shared seeds correlate users' support sets), so it
         is part of the protocol's cache fingerprint.
     chunk_cells:
-        Grid-cell budget per support-scan slice (default
-        :data:`_CHUNK_CELLS`).  Execution-only: it bounds transient memory
-        but cannot change any aggregation result, so it is excluded from
-        the cache fingerprint like the engine's ``workers``/``chunk_users``.
+        Grid-cell budget per support-scan slice of the numpy fallback
+        (default :data:`_CHUNK_CELLS`); the compiled kernel builds no
+        grid.  Execution-only: it bounds transient memory but cannot
+        change any aggregation result, so it is excluded from the cache
+        fingerprint like the engine's ``workers``/``chunk_users``.
     """
 
     name = "olh"
 
     #: Grid-cell budget per support-scan slice: the transient boolean/hash
-    #: grids materialized by the aggregation paths never exceed this many
+    #: grids materialized by the numpy aggregation paths (the fallback when
+    #: the compiled kernel is unavailable) never exceed this many
     #: (report, item) cells.  NOT a user count — the number of users per
     #: slice is ``chunk_cells // domain_size`` (or ``chunk_cells //
     #: len(targets)`` in the target-scan paths).
@@ -235,57 +239,27 @@ class OLH(FrequencyOracle):
     def support_counts(self, reports: OLHReports) -> np.ndarray:
         """``C(v) = #{j : H_j(v) = y_j}``, scanned in bounded memory.
 
-        Per-user-seed batches walk the (users x domain) hash grid in
-        slices of at most ``chunk_cells`` cells.  Cohort batches instead
-        hash the domain once per distinct seed and fold per-seed
-        histograms of the reported values — O(K*d + n) rather than
-        O(n*d) — with bit-identical counts.
+        Per-user-seed batches evaluate every (user, item) pair through
+        :func:`repro.protocols.hashing.support_scan`.  Cohort batches
+        instead tally per-seed histograms of the reported values and fold
+        them through each distinct seed's domain hash
+        (:func:`repro.protocols.hashing.cohort_fold`) — O(K*d + n) rather
+        than O(n*d) — with bit-identical counts.
         """
         reports = self._validate_olh(reports)
         d = self.domain_size
-        counts = np.zeros(d, dtype=np.int64)
-        n = len(reports)
-        if n == 0:
-            return counts
+        if len(reports) == 0:
+            return np.zeros(d, dtype=np.int64)
         grouped = self._grouped_seeds(reports)
         if grouped is not None:
             unique_seeds, inverse = grouped
             histograms = hashing.value_histograms(
                 inverse, reports.values, unique_seeds.size, self.g
             )
-            return self._fold_seed_histograms(unique_seeds, histograms)
-        chunk = max(1, self.chunk_cells // d)
-        domain = np.arange(d, dtype=np.uint64)
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            grid = hashing.hash_items(
-                reports.seeds[start:stop, None], domain[None, :], self.g
-            )
-            matches = grid == reports.values[start:stop, None].astype(np.uint64)
-            counts += matches.sum(axis=0)
-        return counts
-
-    def _fold_seed_histograms(
-        self, unique_seeds: np.ndarray, histograms: np.ndarray
-    ) -> np.ndarray:
-        """``counts[v] = sum_s histograms[s, H_s(v)]``, chunked over seeds.
-
-        One :func:`repro.protocols.hashing.hash_domains` grid per slice of
-        cohort seeds (at most ``chunk_cells`` cells live), gathered
-        through the per-seed reported-value histograms.
-        """
-        d = self.domain_size
-        counts = np.zeros(d, dtype=np.int64)
-        chunk = max(1, self.chunk_cells // d)
-        for start in range(0, unique_seeds.size, chunk):
-            stop = min(start + chunk, unique_seeds.size)
-            grid = hashing.hash_domains(unique_seeds[start:stop], d, self.g).astype(
-                np.int64
-            )
-            counts += np.take_along_axis(histograms[start:stop], grid, axis=1).sum(
-                axis=0
-            )
-        return counts
+            return hashing.cohort_fold(unique_seeds, histograms, d, self.g, self.chunk_cells)
+        return hashing.support_scan(
+            reports.seeds, reports.values, d, self.g, self.chunk_cells
+        )
 
     def craft_supporting(self, items: np.ndarray, rng: RngLike = None) -> OLHReports:
         """Craft reports whose support contains each requested item.
@@ -318,7 +292,7 @@ class OLH(FrequencyOracle):
 
         Delegates to :meth:`target_support_counts` (a report supports any
         target iff it supports at least one), inheriting its bounded-memory
-        chunked scan and the cohort-grouped fast path.
+        scan and the cohort-grouped fast path.
         """
         reports = self._validate_olh(reports)
         idx = list(items)
@@ -329,11 +303,11 @@ class OLH(FrequencyOracle):
     def target_support_counts(self, reports: OLHReports, items: Sequence[int]) -> np.ndarray:
         """Per-report count of supported target ``items``, in bounded memory.
 
-        The per-user-seed path scans the (reports x targets) hash grid in
-        slices of at most ``chunk_cells`` cells — never the unchunked
-        (n x targets) grid.  Cohort batches bucket the target hashes per
-        distinct seed instead and gather each report's count from its
-        seed's bucket row: O(K*t + n).
+        The per-user-seed path evaluates every (report, target) pair
+        through :func:`repro.protocols.hashing.target_scan`.  Cohort
+        batches bucket the target hashes per distinct seed instead
+        (:func:`repro.protocols.hashing.target_histograms`) and gather each
+        report's count from its seed's bucket row: O(K*t + n).
         """
         reports = self._validate_olh(reports)
         idx = np.asarray(list(items), dtype=np.uint64)
@@ -343,29 +317,9 @@ class OLH(FrequencyOracle):
         grouped = self._grouped_seeds(reports)
         if grouped is not None:
             unique_seeds, inverse = grouped
-            k = unique_seeds.size
-            buckets = np.zeros((k, self.g), dtype=np.int64)
-            chunk = max(1, self.chunk_cells // idx.size)
-            for start in range(0, k, chunk):
-                stop = min(start + chunk, k)
-                grid = hashing.hash_items(
-                    unique_seeds[start:stop, None], idx[None, :], self.g
-                )
-                rows = np.repeat(np.arange(stop - start), idx.size)
-                buckets[start:stop] = hashing.value_histograms(
-                    rows, grid.ravel(), stop - start, self.g
-                )
+            buckets = hashing.target_histograms(unique_seeds, idx, self.g, self.chunk_cells)
             return buckets[inverse, reports.values]
-        out = np.empty(n, dtype=np.int64)
-        chunk = max(1, self.chunk_cells // idx.size)
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            grid = hashing.hash_items(
-                reports.seeds[start:stop, None], idx[None, :], self.g
-            )
-            matches = grid == reports.values[start:stop, None].astype(np.uint64)
-            out[start:stop] = matches.sum(axis=1)
-        return out
+        return hashing.target_scan(reports.seeds, reports.values, idx, self.g, self.chunk_cells)
 
     def select_reports(self, reports: OLHReports, mask: np.ndarray) -> OLHReports:
         reports = self._validate_olh(reports)

@@ -468,15 +468,20 @@ def payload_to_evaluation(payload: dict[str, Any]) -> "RecoveryEvaluation":
 #: imports them.
 _UNHASHED_PACKAGES = ("lint",)
 
+#: Source files hashed: Python modules and the C of the compiled kernels
+#: (:mod:`repro.protocols.kernel`), both code that trials run.
+_SOURCE_PATTERNS = ("*.py", "*.c")
+
 #: Memoized digest of the installed package (computed once per process).
 _DEFAULT_SOURCE_DIGEST: Optional[str] = None
 
 
 def _source_files(root: pathlib.Path) -> list[pathlib.Path]:
-    """Every ``*.py`` under ``root`` except the :data:`_UNHASHED_PACKAGES`."""
+    """Every :data:`_SOURCE_PATTERNS` file under ``root`` except the
+    :data:`_UNHASHED_PACKAGES`."""
     return [
         path
-        for path in sorted(root.rglob("*.py"))
+        for path in sorted(p for pattern in _SOURCE_PATTERNS for p in root.rglob(pattern))
         if path.relative_to(root).parts[0] not in _UNHASHED_PACKAGES
     ]
 
@@ -500,8 +505,8 @@ def _compute_source_digest(root: pathlib.Path) -> str:
 def source_digest(root: Optional[str | os.PathLike[str]] = None) -> str:
     """Short content hash of the package source that trials can run.
 
-    Hashes every ``*.py`` file (relative path plus raw bytes) under
-    ``root`` except the ``lint`` sub-package — the installed ``repro``
+    Hashes every ``*.py`` and ``*.c`` file (relative path plus raw bytes)
+    under ``root`` except the ``lint`` sub-package — the installed ``repro``
     package by default, whose digest is computed once per process.  A
     trial reaches far beyond the simulation layer (``_rng``, ``datasets``,
     ``kv``, and ``serve`` for the epochs scenario), so hashing the whole

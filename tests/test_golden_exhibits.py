@@ -75,6 +75,15 @@ def test_exhibits_match_golden_byte_for_byte():
     raise AssertionError("golden document differs in formatting only")
 
 
+def test_exhibits_match_golden_with_numpy_fallback(monkeypatch):
+    """The same document, byte for byte, when the compiled OLH kernel is
+    unavailable and every support scan runs its numpy reference."""
+    from repro.protocols import kernel
+
+    monkeypatch.setattr(kernel, "load", lambda: None)
+    test_exhibits_match_golden_byte_for_byte()
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden_exhibits.py --write")

@@ -590,6 +590,26 @@ class TestSourceDigest:
             path.write_text(path.read_text(encoding="utf-8") + "# edit\n")
             assert source_digest(tree) != before, module
 
+    def test_digest_tracks_compiled_kernel_source(self, tmp_path):
+        """The C of the OLH scan kernel is code trials run: editing it
+        must invalidate the cache, while a lint/ edit still must not."""
+        import repro.sim.cache as cache_module
+
+        tree = tmp_path / "repro"
+        shutil.copytree(
+            pathlib.Path(cache_module.__file__).resolve().parent.parent, tree,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        kernel_source = tree / "protocols" / "_olh_kernel.c"
+        assert kernel_source in cache_module._source_files(tree)
+        original = cache_module._compute_source_digest(tree)
+        kernel_source.write_text(kernel_source.read_text(encoding="utf-8") + "/* edit */\n")
+        edited = cache_module._compute_source_digest(tree)
+        assert edited != original
+        lint_module = tree / "lint" / "runner.py"
+        lint_module.write_text(lint_module.read_text(encoding="utf-8") + "# edit\n")
+        assert cache_module._compute_source_digest(tree) == edited
+
     def test_digest_change_invalidates_entries(self, tmp_path, monkeypatch):
         import repro.sim.cache as cache_module
 

@@ -44,3 +44,16 @@ def test_mypy_config_is_pinned():
                    "src/repro/sim/engine.py", "src/repro/sim/scenarios.py",
                    "src/repro/sim/figures.py"):
         assert scoped in config
+
+
+def test_compiled_kernel_loader_is_in_the_gate():
+    """The ctypes loader of the OLH kernel is type-checked: it lives in a
+    package the gate lists (a second, file-level entry for it would be a
+    duplicate module to mypy)."""
+    config = (REPO_ROOT / "mypy.ini").read_text()
+    files = config.split("files =", 1)[1].split("mypy_path", 1)[0]
+    gated = [entry.strip().rstrip(",") for entry in files.splitlines() if entry.strip()]
+    loader = pathlib.PurePosixPath("src/repro/protocols/kernel.py")
+    assert (REPO_ROOT / loader).is_file()
+    assert any(entry == str(loader) or pathlib.PurePosixPath(entry) in loader.parents
+               for entry in gated), gated
