@@ -22,9 +22,12 @@ fallback when no kernel can be built; both compute the same integers.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Callable, Optional
+
 import numpy as np
 
-from repro.protocols import kernel
+if TYPE_CHECKING:
+    from repro.protocols.kernel import Kernel
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -163,12 +166,21 @@ def _reports(seeds: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndar
     return s, y
 
 
+def _kernel() -> Optional["Kernel"]:
+    """The compiled scans, or ``None``.  The loader is imported on the
+    first scan, so importing this module neither builds nor loads it."""
+    from repro.protocols import kernel
+
+    return kernel.load()
+
+
 def _run(
-    scan: str, items: np.ndarray, seeds: np.ndarray, data: np.ndarray, g: int, out: np.ndarray
+    scan: Callable[..., None], items: np.ndarray, seeds: np.ndarray, data: np.ndarray,
+    g: int, out: np.ndarray,
 ) -> np.ndarray:
     """Call one kernel scan over ``mix64(items)`` and return ``out``."""
     premix = mix64(items)
-    getattr(kernel.load(), scan)(
+    scan(
         premix.ctypes.data, premix.size, seeds.ctypes.data, data.ctypes.data,
         seeds.size, g, out.ctypes.data,
     )
@@ -186,10 +198,11 @@ def support_scan(
     """
     g = _check_range(g)
     seeds, values = _reports(seeds, values)
-    if kernel.load() is None:
+    lib = _kernel()
+    if lib is None:
         return support_scan_reference(seeds, values, domain_size, g, chunk_cells)
     counts = np.zeros(domain_size, dtype=np.int64)
-    return _run("support_scan", np.arange(domain_size, dtype=np.uint64), seeds, values, g, counts)
+    return _run(lib.support_scan, np.arange(domain_size, dtype=np.uint64), seeds, values, g, counts)
 
 
 def support_scan_reference(
@@ -218,9 +231,10 @@ def target_scan(
     g = _check_range(g)
     seeds, values = _reports(seeds, values)
     targets = np.ascontiguousarray(targets, dtype=np.uint64)
-    if kernel.load() is None:
+    lib = _kernel()
+    if lib is None:
         return target_scan_reference(seeds, values, targets, g, chunk_cells)
-    return _run("target_scan", targets, seeds, values, g, np.zeros(seeds.size, dtype=np.int64))
+    return _run(lib.target_scan, targets, seeds, values, g, np.zeros(seeds.size, dtype=np.int64))
 
 
 def target_scan_reference(
@@ -255,10 +269,11 @@ def cohort_fold(
             f"histograms must have shape (len(seeds), g) = {(seeds.size, g)}, "
             f"got {histograms.shape}"
         )
-    if kernel.load() is None:
+    lib = _kernel()
+    if lib is None:
         return cohort_fold_reference(seeds, histograms, domain_size, g, chunk_cells)
     counts = np.zeros(domain_size, dtype=np.int64)
-    return _run("cohort_fold", np.arange(domain_size, dtype=np.uint64), seeds, histograms, g, counts)
+    return _run(lib.cohort_fold, np.arange(domain_size, dtype=np.uint64), seeds, histograms, g, counts)
 
 
 def cohort_fold_reference(

@@ -11,10 +11,11 @@ from ``PATH``, always with ``-O2 -shared -fPIC``, into
 covers the source bytes, the compile argv and the platform.  The build
 writes a temporary file and ``os.replace``-s it into place, so concurrent
 processes building at once are safe.  The result is memoized per
-process; any failure (no compiler, unwritable cache directory, failed
-``dlopen``) yields ``None`` and callers use the numpy reference instead,
-which computes the same integers.  Nothing here compiles or loads at
-import time.
+process.  Without a compiler :func:`load` yields ``None``, and callers
+use the numpy references instead, which compute the same integers; a
+failed build or ``dlopen`` (say, an unwritable cache directory) does the
+same after a :class:`RuntimeWarning` naming the cause.  Nothing here
+compiles or loads at import time.
 """
 
 from __future__ import annotations
@@ -22,11 +23,13 @@ from __future__ import annotations
 import hashlib
 import os
 import pathlib
+import platform
 import shutil
 import subprocess
 import sys
 import tempfile
-from typing import Any, Optional
+import warnings
+from typing import Any, Callable, Optional
 
 #: The C source of the three scans.
 SOURCE = pathlib.Path(__file__).with_name("_olh_kernel.c")
@@ -48,7 +51,15 @@ _KERNEL: Any = _UNSET
 
 
 class Kernel:
-    """The scans of one loaded library, with their ctypes signatures set."""
+    """The scans of one loaded library, with their ctypes signatures set.
+
+    Each scan takes ``(premix, m, seeds, data, n, g, out)``: buffer
+    addresses and sizes that :mod:`repro.protocols.hashing` validates.
+    """
+
+    support_scan: Callable[..., None]
+    target_scan: Callable[..., None]
+    cohort_fold: Callable[..., None]
 
     def __init__(self, path: pathlib.Path) -> None:
         import ctypes
@@ -62,6 +73,9 @@ class Kernel:
             setattr(self, name, fn)
         self.path = path
 
+    def __repr__(self) -> str:
+        return f"Kernel({str(self.path)!r})"
+
 
 def build(cache_dir: pathlib.Path) -> Optional[pathlib.Path]:
     """Path of the built library in ``cache_dir``, compiling it if absent.
@@ -74,7 +88,7 @@ def build(cache_dir: pathlib.Path) -> Optional[pathlib.Path]:
         return None
     argv = [compiler, *CFLAGS]
     digest = hashlib.sha256(SOURCE.read_bytes())
-    digest.update("\0".join([*argv, sys.platform, os.uname().machine]).encode())
+    digest.update("\0".join([*argv, sys.platform, platform.machine()]).encode())
     target = cache_dir / f"_olh_kernel-{digest.hexdigest()[:12]}.so"
     if target.exists():
         return target
@@ -83,7 +97,8 @@ def build(cache_dir: pathlib.Path) -> Optional[pathlib.Path]:
     os.close(fd)
     try:
         subprocess.run(
-            [*argv, "-o", tmp, str(SOURCE)], check=True, capture_output=True, timeout=120
+            [*argv, "-o", tmp, str(SOURCE)],
+            check=True, capture_output=True, text=True, timeout=120,
         )
         os.replace(tmp, target)
     finally:
@@ -92,18 +107,26 @@ def build(cache_dir: pathlib.Path) -> Optional[pathlib.Path]:
     return target
 
 
-def open_kernel(cache_dir: pathlib.Path) -> Optional[Kernel]:
-    """Build (if needed) and load the kernel; ``None`` on any failure."""
+def load() -> Optional[Kernel]:
+    """The process's kernel, built and loaded on the first call only.
+
+    ``None`` when it cannot be had: the callers' numpy path runs instead.
+    """
+    global _KERNEL
+    if _KERNEL is _UNSET:
+        _KERNEL = _open(CACHE_DIR)
+    return _KERNEL
+
+
+def _open(cache_dir: pathlib.Path) -> Optional[Kernel]:
     try:
         path = build(cache_dir)
         return None if path is None else Kernel(path)
-    except Exception:  # no compiler, failed build or dlopen: numpy fallback
+    except (OSError, subprocess.SubprocessError) as exc:
+        detail = getattr(exc, "stderr", None) or ""
+        warnings.warn(
+            f"OLH scan kernel unavailable, using the numpy scans: {exc!r} {detail}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
         return None
-
-
-def load() -> Optional[Kernel]:
-    """The process's kernel, built and loaded on the first call only."""
-    global _KERNEL
-    if _KERNEL is _UNSET:
-        _KERNEL = open_kernel(CACHE_DIR)
-    return _KERNEL

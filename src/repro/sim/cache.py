@@ -468,21 +468,22 @@ def payload_to_evaluation(payload: dict[str, Any]) -> "RecoveryEvaluation":
 #: imports them.
 _UNHASHED_PACKAGES = ("lint",)
 
-#: Source files hashed: Python modules and the C of the compiled kernels
-#: (:mod:`repro.protocols.kernel`), both code that trials run.
-_SOURCE_PATTERNS = ("*.py", "*.c")
+#: Suffixes of the source files hashed: Python modules and the C of the
+#: compiled kernel (:mod:`repro.protocols.kernel`), both code trials run.
+_SOURCE_SUFFIXES = (".py", ".c")
 
 #: Memoized digest of the installed package (computed once per process).
 _DEFAULT_SOURCE_DIGEST: Optional[str] = None
 
 
 def _source_files(root: pathlib.Path) -> list[pathlib.Path]:
-    """Every :data:`_SOURCE_PATTERNS` file under ``root`` except the
+    """Every :data:`_SOURCE_SUFFIXES` file under ``root`` except the
     :data:`_UNHASHED_PACKAGES`."""
     return [
         path
-        for path in sorted(p for pattern in _SOURCE_PATTERNS for p in root.rglob(pattern))
-        if path.relative_to(root).parts[0] not in _UNHASHED_PACKAGES
+        for path in sorted(root.rglob("*"))
+        if path.suffix in _SOURCE_SUFFIXES
+        and path.relative_to(root).parts[0] not in _UNHASHED_PACKAGES
     ]
 
 
