@@ -21,10 +21,12 @@ import multiprocessing
 import os
 import time
 
+import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError, ShardIncompleteError
 from repro.sim.cache import CellCache
+from repro.sim.cells import Cell, run_cell
 from repro.sim.engine import TASK_COUNTER, TrialBudget, Welford
 from repro.sim.shard import (
     ClaimQueue,
@@ -33,6 +35,7 @@ from repro.sim.shard import (
     enumerate_cells,
     merge_sweep,
     merged_cell_seconds,
+    _ClaimPolicy,
     run_shard,
     shard_of_key,
     sweep_status,
@@ -341,6 +344,52 @@ class TestClaimSharding:
         run_shard(CONFIG, cache, shard_index=0, shard_count=2)
         rows = merge_sweep(CONFIG, cache, require_complete=False)
         assert rows == CONFIG.run(None)
+
+
+def _one_seed_cell(metrics_fn) -> Cell:
+    """A one-trial cell whose payload is the mean of its ``value`` metric."""
+    seeds = np.random.SeedSequence(3).spawn(1)
+    return Cell(
+        {"kind": "row", "cell": "claim-release", "seed": 3},
+        seeds,
+        lambda seed: seed,
+        metrics_fn,
+        lambda stats, trials: {"value": stats["value"].mean},
+    )
+
+
+def _failing_trial(seed):
+    raise RuntimeError("trial failed")
+
+
+def _unit_trial(seed):
+    return {"value": 1.0}
+
+
+class TestRunCellReleasesClaims:
+    """A shard releases every claim it acquires, on every exit path."""
+
+    def test_failing_cell_releases_its_claim(self, tmp_path):
+        cache = CellCache(tmp_path / "cache")
+        queue = ClaimQueue(tmp_path / "claims", owner="me")
+        with pytest.raises(RuntimeError, match="trial failed"):
+            run_cell(_one_seed_cell(_failing_trial), cache=cache, policy=_ClaimPolicy(queue))
+        assert queue.active() == []
+
+    def test_cell_finished_by_a_peer_releases_its_claim(self, tmp_path):
+        cache = CellCache(tmp_path / "cache")
+        queue = ClaimQueue(tmp_path / "claims", owner="me")
+        cell = _one_seed_cell(_unit_trial)
+
+        class PeerFinishesFirst(_ClaimPolicy):
+            # The peer stores the cell between our miss and our acquire.
+            def acquire(self, key: str) -> bool:
+                cache.put(cell.spec, {"value": 1.0})
+                return super().acquire(key)
+
+        status, rows = run_cell(cell, cache=cache, policy=PeerFinishesFirst(queue))
+        assert (status, rows) == ("served", [{"value": 1.0}])
+        assert queue.active() == []
 
 
 def _race_worker(cache_dir: str, label: str) -> None:
