@@ -8,7 +8,7 @@ import pytest
 from repro.datasets import zipf_dataset
 from repro.exceptions import InvalidParameterError
 from repro.protocols import GRR
-from repro.sim.history import History, simulate_history
+from repro.sim.history import History, epoch_populations, simulate_history
 
 D = 16
 DATASET = zipf_dataset(domain_size=D, num_users=10_000, exponent=1.0, rng=2)
@@ -62,6 +62,16 @@ class TestSimulateHistory:
         trial = run_trial(DATASET, proto, attack, beta=0.1, rng=50)
         detected = detector.detect(trial.poisoned_frequencies)
         assert {2, 9}.issubset(set(detected.tolist()))
+
+
+class TestEpochPopulations:
+    def test_drift_stream_is_a_function_of_the_seed(self):
+        first = epoch_populations(DATASET, 4, drift=0.2, rng=5)
+        again = epoch_populations(DATASET, 4, drift=0.2, rng=5)
+        other = epoch_populations(DATASET, 4, drift=0.2, rng=6)
+        for a, b in zip(first, again):
+            np.testing.assert_array_equal(a.counts, b.counts)
+        assert not np.array_equal(first[-1].counts, other[-1].counts)
 
 
 class TestHistoryContainer:
