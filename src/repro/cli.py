@@ -52,13 +52,11 @@ cache, bit-identical to an unsharded run.
 The ``lint`` subcommand runs the determinism & cache-contract analyzer
 (:mod:`repro.lint`) over a source tree: every registered ``REPnnn`` rule
 (unseeded randomness, wall-clock leaks, fingerprint coverage, trial-task
-picklability, unordered iteration, plus the REP2xx whole-program flow
-rules: seed provenance, claim leaks, fingerprint mutation, unordered
-reductions, entropy re-exports) and the runtime fingerprint contract
-scan.  ``--format github`` emits CI workflow annotations, ``--format
-sarif`` a SARIF 2.1.0 log for code-scanning upload, ``--changed-only
-REF`` narrows reporting to files changed since a git ref, and the
-checked-in ``.repro-lint-baseline.json`` absorbs reviewed findings.
+picklability, unordered iteration, hygiene) and the runtime fingerprint
+contract scan.  ``--format github`` emits CI workflow annotations,
+``--format sarif`` a SARIF 2.1.0 log for code-scanning upload,
+``--changed-only REF`` scans only the files changed since a git ref, and
+the checked-in ``.repro-lint-baseline.json`` absorbs reviewed findings.
 
 The ``serve`` subcommand boots the online recovery service
 (:mod:`repro.serve`): an asyncio HTTP endpoint that ingests perturbed
@@ -506,10 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "a SARIF 2.1.0 log for code-scanning upload")
     lint.add_argument("--changed-only", default=None, metavar="REF",
                       dest="changed_only",
-                      help="only report findings in files changed since the "
-                           "given git ref (plus untracked files); analysis "
-                           "still spans the full tree so cross-module flow "
-                           "rules see every alias")
+                      help="only scan files changed since the given git "
+                           "ref (plus untracked files)")
     lint.add_argument("--select", action="append", default=None, metavar="RULES",
                       help="comma-separated rule ids to run (default: all); "
                            "may repeat")

@@ -13,17 +13,9 @@ Layout:
 
 * :mod:`~repro.lint.registry` — :class:`LintRule` + :func:`register_rule`
   (the scenario-registry pattern applied to contracts), including each
-  rule's scope (module vs. project) and tier set (src/tests/benchmarks);
+  rule's tier set (src/tests/benchmarks);
 * :mod:`~repro.lint.checks` — the per-module AST checkers (REP001–REP005
   plus the REP101/REP102 hygiene rules), registered at import;
-* :mod:`~repro.lint.callgraph` — the project-wide symbol table, alias
-  resolution and call graph the flow rules ride on;
-* :mod:`~repro.lint.flow` — intraprocedural CFG, taint engine and the
-  three-valued claim/release guarantee analysis;
-* :mod:`~repro.lint.flowchecks` — the whole-program flow rules
-  (REP201 seed-provenance, REP202 claim-leak, REP203
-  fingerprint-mutation, REP204 order-sensitive reduction, REP205
-  entropy-re-export), registered at import;
 * :mod:`~repro.lint.contracts` — REP003's runtime half: live
   fingerprint-coverage cross-referencing of the real classes;
 * :mod:`~repro.lint.context` — per-module AST context (import-alias
@@ -41,7 +33,6 @@ Layout:
 """
 
 from repro.lint.baseline import BaselineEntry, apply_baseline, load_baseline
-from repro.lint.callgraph import ProjectContext, ProjectIndex
 from repro.lint.context import ModuleContext, package_relpath
 from repro.lint.findings import Finding
 from repro.lint.registry import RULES, LintRule, register_rule, resolve_rules, rule_ids
@@ -54,8 +45,8 @@ from repro.lint.runner import (
 )
 from repro.lint.sarif import render_sarif, sarif_document, validate_sarif
 
-# Importing the runner imported the checkers (module and flow), so RULES
-# is fully populated here.
+# Importing the runner imported the checkers, so RULES is fully populated
+# here.
 
 __all__ = [
     "BaselineEntry",
@@ -63,8 +54,6 @@ __all__ = [
     "LintReport",
     "LintRule",
     "ModuleContext",
-    "ProjectContext",
-    "ProjectIndex",
     "RULES",
     "apply_baseline",
     "changed_files",

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.exceptions import InvalidParameterError
+from repro.lint.context import ModuleContext
 from repro.lint.findings import Finding
 
 #: The walk tiers a file can belong to.  Contract rules run over the
@@ -44,12 +45,6 @@ class LintRule:
     shown by ``lint --list-rules``, ``rationale`` the invariant the rule
     guards (rendered in the docs catalog), and ``check`` the checker.
 
-    ``scope`` selects the checker's calling convention: ``"module"``
-    checkers receive one :class:`~repro.lint.context.ModuleContext` per
-    file; ``"project"`` checkers (the REP2xx flow rules) receive a single
-    :class:`~repro.lint.callgraph.ProjectContext` spanning every scanned
-    module and may follow imports, aliases and calls across files.
-
     ``tiers`` scopes where findings apply when walking directories:
     a finding in a ``tests/`` file is dropped unless the rule lists the
     ``"tests"`` tier.  Explicitly-passed files bypass tier gating (the
@@ -60,8 +55,7 @@ class LintRule:
     name: str
     summary: str
     rationale: str
-    check: Callable[..., Iterable[Finding]]
-    scope: str = "module"
+    check: Callable[[ModuleContext], Iterable[Finding]]
     tiers: frozenset[str] = field(default=CONTRACT_TIERS)
 
 

@@ -4,12 +4,9 @@
 It walks the requested files/directories in sorted order (the runner
 practices the determinism it preaches), builds one
 :class:`~repro.lint.context.ModuleContext` per module, executes every
-selected registered rule — per-module rules file by file, then the
-project-scoped flow rules (:mod:`repro.lint.flowchecks`) once over a
-whole-program :class:`~repro.lint.callgraph.ProjectContext` — folds in
-the runtime contract scan (:mod:`repro.lint.contracts`) when REP003 is
-in play, honors inline suppressions, and finally subtracts the
-checked-in baseline.
+selected registered rule over it, folds in the runtime contract scan
+(:mod:`repro.lint.contracts`) when REP003 is in play, honors inline
+suppressions, and finally subtracts the checked-in baseline.
 
 Directory walks are **tiered**: a file under ``tests/`` only receives
 findings from rules that opt into the ``"tests"`` tier (hygiene and
@@ -19,11 +16,10 @@ single files with every rule.  ``fixtures`` directories encountered
 *below* a requested root are skipped entirely: planted violations are
 test data, not tree debt.
 
-``changed_only`` narrows *reporting* to files touched since a git ref
-(plus untracked files) without narrowing *analysis*: the project index
-still spans every discovered module, so a change to a re-export is
-still seen by flow rules, but only findings in changed files — and only
-stale-baseline debt attributable to them — fail the run.
+``changed_only`` narrows the scan to files touched since a git ref
+(plus untracked files).  Every rule reads one module at a time, so the
+unchanged files are never parsed, and only stale-baseline debt
+attributable to the changed files fails the run.
 
 The resulting :class:`LintReport` renders as plain text, GitHub workflow
 annotations, or SARIF 2.1.0 (:mod:`repro.lint.sarif`) and knows its own
@@ -51,7 +47,6 @@ from repro.lint.registry import LintRule, resolve_rules
 
 # Importing the checkers registers every rule as a side effect.
 import repro.lint.checks  # noqa: F401  (registration import)
-import repro.lint.flowchecks  # noqa: F401  (registration import)
 
 #: Rule id used for files the scanner cannot parse at all.
 PARSE_RULE_ID = "REP000"
@@ -233,80 +228,46 @@ def lint_paths(
     contract scan runs when REP003 is selected and ``run_contracts`` is
     true; its findings are kept only when they anchor inside a scanned
     file, so linting a fixture directory does not drag in the live tree.
-    ``changed_only`` is a git ref: analysis still spans every discovered
-    file (project rules need the whole program), but only findings in
-    files changed since the ref are reported.
+    ``changed_only`` is a git ref: only the discovered files changed
+    since it are scanned.
     """
     rules: tuple[LintRule, ...] = resolve_rules(select)
-    module_rules = tuple(rule for rule in rules if rule.scope == "module")
-    project_rules = tuple(rule for rule in rules if rule.scope == "project")
     files = discover_files(paths)
+    if changed_only is not None:
+        changed = changed_files(changed_only)
+        files = [path for path in files if path in changed]
     explicit = {
         pathlib.Path(raw).resolve()
         for raw in paths
         if pathlib.Path(raw).is_file()
     }
-    scanned_resolved = {path.resolve() for path in files}
-    if changed_only is not None:
-        changed = changed_files(changed_only)
-        reportable = {path for path in scanned_resolved if path in changed}
-    else:
-        reportable = scanned_resolved
+    scanned = set(files)
 
     findings: list[Finding] = []
     suppressed = 0
-    contexts: list[ModuleContext] = []
-    tiers: dict[int, str] = {}
-    bypass: dict[int, bool] = {}
     for path in files:
         display = _display_path(path)
-        reported = path.resolve() in reportable
         source = path.read_text(encoding="utf-8")
         try:
             ctx = ModuleContext(path, source, display)
         except SyntaxError as exc:
-            if reported:
-                findings.append(
-                    Finding(
-                        path=display,
-                        line=exc.lineno or 1,
-                        col=(exc.offset or 1) - 1,
-                        rule=PARSE_RULE_ID,
-                        message=f"file does not parse: {exc.msg}",
-                    )
+            findings.append(
+                Finding(
+                    path=display,
+                    line=exc.lineno or 1,
+                    col=(exc.offset or 1) - 1,
+                    rule=PARSE_RULE_ID,
+                    message=f"file does not parse: {exc.msg}",
                 )
+            )
             continue
         if ctx.skip_file:
             continue
         tier = file_tier(display)
-        contexts.append(ctx)
-        tiers[id(ctx)] = tier
-        bypass[id(ctx)] = path.resolve() in explicit
-        if not reported:
-            continue
-        for rule in module_rules:
-            if tier not in rule.tiers and not bypass[id(ctx)]:
+        for rule in rules:
+            if tier not in rule.tiers and path not in explicit:
                 continue
             for finding in rule.check(ctx):
-                if ctx.is_suppressed(finding.rule, finding.line):
-                    suppressed += 1
-                else:
-                    findings.append(finding)
-
-    if project_rules and contexts:
-        from repro.lint.callgraph import ProjectContext
-
-        project = ProjectContext.build(contexts)
-        by_display = project.by_display
-        for rule in project_rules:
-            for finding in rule.check(project):
-                ctx = by_display.get(finding.path)
-                if ctx is None:
-                    continue
-                if ctx.path.resolve() not in reportable:
-                    continue
-                if tiers[id(ctx)] not in rule.tiers and not bypass[id(ctx)]:
-                    continue
                 if ctx.is_suppressed(finding.rule, finding.line):
                     suppressed += 1
                 else:
@@ -319,7 +280,7 @@ def lint_paths(
             anchor = pathlib.Path(finding.path)
             if not anchor.is_absolute():
                 anchor = pathlib.Path.cwd() / anchor
-            if anchor.resolve() in reportable:
+            if anchor.resolve() in scanned:
                 findings.append(finding)
 
     findings.sort()
@@ -340,13 +301,13 @@ def lint_paths(
             stale = [
                 entry
                 for entry in stale
-                if pathlib.Path(entry.path).resolve() in reportable
+                if pathlib.Path(entry.path).resolve() in scanned
             ]
 
     return LintReport(
         findings=findings,
         stale_baseline=stale,
-        files_scanned=len([p for p in files if p.resolve() in reportable]),
+        files_scanned=len(files),
         rules_run=tuple(rule.id for rule in rules),
         baselined=baselined,
         suppressed=suppressed,
