@@ -5,7 +5,9 @@ perturbation, support counting and the fast distributional path for each
 protocol, plus the recovery itself and the parallel/chunked experiment
 engine.  Kernels use pytest-benchmark's normal repeated timing; the engine
 smoke tests time one fig3-sized cell serially vs. across a worker pool and
-report the wall-clock speedup in the exhibit summary.
+report the wall-clock speedup in the exhibit summary.  The compiled
+kernel's OUE loops are timed against their numpy references on the same
+generator seeds, with identical output asserted.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from conftest import bench_trials, bench_users, bench_workers, show
 from repro.attacks import MGAAttack
 from repro.core.recover import recover_frequencies
 from repro.datasets import ipums_like
-from repro.protocols import make_protocol
+from repro.protocols import kernel, make_protocol
 from repro.sim.engine import run_chunked_trial
 from repro.sim.experiment import evaluate_recovery
 
@@ -53,6 +55,54 @@ def test_recovery_throughput(benchmark, protocol):
     rng = np.random.default_rng(2)
     poisoned = rng.normal(1.0 / D, 0.05, size=D)
     benchmark(lambda: recover_frequencies(poisoned, protocol))
+
+
+def _best_of(fn, repeats=9):
+    """The fastest of ``repeats`` wall-clock runs of ``fn``, and its result."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def test_oue_kernel_speedup(monkeypatch):
+    """The compiled OUE loops against their numpy references at
+    ``N_USERS``: OUE ``perturb`` of the genuine users and MGA's padded OUE
+    ``craft`` of as many reports, one engine chunk of an OUE/MGA cell.
+    Both paths must give identical reports; the kernel must be >=1.5x
+    faster on the chunk and on the crafting.  ``perturb`` alone is bound
+    by numpy's own draw rate (the kernel draws the same uniforms; it saves
+    the float matrix and the compare pass), so it must only be faster."""
+    if kernel.load() is None:
+        pytest.skip("no C compiler: the compiled kernel is unavailable")
+    proto = make_protocol("oue", epsilon=0.5, domain_size=D)
+    attack = MGAAttack(domain_size=D, r=10, rng=0)
+    items = np.random.default_rng(0).integers(0, D, size=N_USERS)
+    steps = {
+        "OUE perturb": lambda: proto.perturb(items, 1),
+        "MGA-OUE craft": lambda: attack.craft(proto, N_USERS, 1),
+    }
+    compiled = {name: _best_of(step) for name, step in steps.items()}
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel, "load", lambda: None)
+        reference = {name: _best_of(step) for name, step in steps.items()}
+
+    rows = []
+    for name in steps:
+        np.testing.assert_array_equal(compiled[name][1], reference[name][1])
+        rows.append({"step": name, "reference_s": reference[name][0],
+                     "kernel_s": compiled[name][0]})
+    rows.append({"step": "chunk (perturb + craft)",
+                 "reference_s": sum(row["reference_s"] for row in rows),
+                 "kernel_s": sum(row["kernel_s"] for row in rows)})
+    for row in rows:
+        row["speedup"] = row["reference_s"] / row["kernel_s"]
+    show(f"Compiled OUE loops vs numpy references (n=m={N_USERS}, d={D})", rows)
+    perturb, craft, chunk = (row["speedup"] for row in rows)
+    assert chunk >= 1.5 and craft >= 1.5, rows
+    assert perturb > 1.0, rows
 
 
 def test_fast_path_at_paper_scale(benchmark):

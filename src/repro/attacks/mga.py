@@ -26,7 +26,7 @@ import numpy as np
 from repro._rng import RngLike, as_generator
 from repro.attacks.base import ItemSamplingAttack, resolve_target_items
 from repro.exceptions import AttackError
-from repro.protocols import hashing
+from repro.protocols import hashing, unary
 from repro.protocols.base import FrequencyOracle
 from repro.protocols.grr import GRR
 from repro.protocols.olh import OLH, OLHReports
@@ -47,7 +47,11 @@ class MGAAttack(ItemSamplingAttack):
         (paper default: 10).
     pad_oue:
         Whether the OUE crafted vectors are padded to the expected genuine
-        on-bit count (MGA's detection evasion; default True).
+        on-bit count (MGA's detection evasion; default True).  Each
+        vector's padding bits are the non-target bits with the smallest
+        of one uniform key each (:func:`repro.protocols.unary.pad_rows`:
+        compiled when the kernel loads, so no ``(m, d - r)`` key matrix
+        is built).
     seed_candidates:
         Number of candidate hash keys scanned for the OLH report search.
     rng:
@@ -127,13 +131,9 @@ class MGAAttack(ItemSamplingAttack):
         non_targets = np.setdiff1d(np.arange(d, dtype=np.int64), self._targets)
         pad = min(pad, non_targets.size)
         if pad and m:
-            # Per-report sample of `pad` distinct non-target bits via the
-            # random-key argpartition trick (vectorized sampling without
-            # replacement).
-            keys = gen.random((m, non_targets.size))
-            chosen = np.argpartition(keys, pad - 1, axis=1)[:, :pad]
-            rows = np.repeat(np.arange(m), pad)
-            bits[rows, non_targets[chosen].ravel()] = True
+            # Per-report sample of `pad` distinct non-target bits: the
+            # smallest of one random key per non-target bit.
+            unary.pad_rows(gen, bits, non_targets, pad)
         return bits
 
     def _craft_olh(self, protocol: OLH, m: int, gen: np.random.Generator) -> OLHReports:

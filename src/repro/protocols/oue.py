@@ -15,6 +15,7 @@ import numpy as np
 
 from repro._rng import RngLike, as_generator
 from repro.exceptions import ProtocolError
+from repro.protocols import unary
 from repro.protocols.base import FrequencyOracle
 
 
@@ -22,6 +23,10 @@ class OUE(FrequencyOracle):
     """Optimized Unary Encoding frequency oracle.
 
     Reports are represented as a 2-D boolean matrix of shape ``(n, d)``.
+    :meth:`perturb`, :meth:`craft_supporting` and :meth:`support_counts`
+    run the compiled kernel's loops when it loads
+    (:mod:`repro.protocols.unary`), else their numpy references; both
+    give the same reports and counts from the same generator.
     """
 
     name = "oue"
@@ -36,12 +41,9 @@ class OUE(FrequencyOracle):
     # ------------------------------------------------------------------
     def perturb(self, items: np.ndarray, rng: RngLike = None) -> np.ndarray:
         items = self._validate_items(items)
-        gen = as_generator(rng)
-        n = items.size
-        bits = gen.random((n, self.domain_size)) < self.q
-        if n:
-            bits[np.arange(n), items] = gen.random(n) < self.p
-        return bits
+        return unary.draw_bits(
+            as_generator(rng), items.size, self.domain_size, self.q, items, self.p
+        )
 
     def _validate_reports(self, reports: np.ndarray) -> np.ndarray:
         arr = np.asarray(reports, dtype=bool)
@@ -52,7 +54,7 @@ class OUE(FrequencyOracle):
         return arr
 
     def support_counts(self, reports: np.ndarray) -> np.ndarray:
-        return self._validate_reports(reports).sum(axis=0).astype(np.int64)
+        return unary.column_counts(self._validate_reports(reports))
 
     def craft_supporting(self, items: np.ndarray, rng: RngLike = None) -> np.ndarray:
         """Craft a report per item: the item's bit on, other bits at rate q.
@@ -65,8 +67,7 @@ class OUE(FrequencyOracle):
         naturally (collision rate ``1/g = q``).
         """
         items = self._validate_items(items)
-        gen = as_generator(rng)
-        bits = gen.random((items.size, self.domain_size)) < self.q
+        bits = unary.draw_bits(as_generator(rng), items.size, self.domain_size, self.q)
         if items.size:
             bits[np.arange(items.size), items] = True
         return bits

@@ -659,6 +659,10 @@ def run_chunked_trial(
     — but reports are aggregated chunk by chunk and never retained, so
     the memory high-water mark is ``O(chunk_users * d)`` instead of
     ``O(n * d)`` for the genuine phase and for i.i.d.-crafting attacks.
+    For OUE/SUE that transient is the chunk's ``chunk_users x d`` report
+    bytes: with the compiled kernel, perturbation and MGA's padding build
+    no float matrix beside them (the numpy references add an 8-byte
+    uniform per cell).
     Attacks with ``iid_reports = False`` (e.g. ``MultiAttacker``) craft
     their full ``m``-report batch up front (see
     :func:`chunked_malicious_counts`), so the malicious phase of those

@@ -76,8 +76,9 @@ def test_exhibits_match_golden_byte_for_byte():
 
 
 def test_exhibits_match_golden_with_numpy_fallback(monkeypatch):
-    """The same document, byte for byte, when the compiled OLH kernel is
-    unavailable and every support scan runs its numpy reference."""
+    """The same document, byte for byte, when the compiled kernel is
+    unavailable and every OLH scan and unary-encoding loop (OUE/SUE
+    perturbation, MGA padding, column counts) runs its numpy reference."""
     from repro.protocols import kernel
 
     monkeypatch.setattr(kernel, "load", lambda: None)

@@ -1,9 +1,10 @@
-"""The compiled OLH scan kernel and its loader.
+"""The compiled kernel's OLH scans, and the kernel loader.
 
 The kernel must count exactly what the numpy references in
 :mod:`repro.protocols.hashing` count, for every input the scans accept,
 and the loader must fall back to those references — never raise — when
-no kernel can be built.
+no kernel can be built.  The unary-encoding loops are pinned in
+``test_oue_kernel.py``.
 """
 
 from __future__ import annotations
@@ -127,14 +128,14 @@ class TestLoader:
         blocker = fresh_loader / "blocker"
         blocker.write_text("", encoding="utf-8")
         monkeypatch.setattr(kernel, "CACHE_DIR", blocker / "__pycache__")
-        with pytest.warns(RuntimeWarning, match="numpy scans"):
+        with pytest.warns(RuntimeWarning, match="compiled kernel unavailable, using the numpy references"):
             assert kernel.load() is None
         assert kernel.load() is None  # memoized: warned once
         _fallback_matches_reference(OLH(epsilon=1.0, domain_size=32))
 
     @pytest.mark.usefixtures("compiled")
     def test_failed_compile_warns_and_falls_back(self, fresh_loader, monkeypatch):
-        broken = fresh_loader / "_olh_kernel.c"
+        broken = fresh_loader / "_kernel.c"
         broken.write_text("this is not C\n", encoding="utf-8")
         monkeypatch.setattr(kernel, "SOURCE", broken)
         with pytest.warns(RuntimeWarning, match="CalledProcessError"):
@@ -147,7 +148,7 @@ class TestLoader:
         first = kernel.load()
         assert first is not None and kernel.load() is first
         assert first.path.parent == fresh_loader / "__pycache__"
-        assert first.path.name.startswith("_olh_kernel-")
+        assert first.path.name.startswith("_kernel-")
 
     @pytest.mark.usefixtures("compiled")
     def test_concurrent_builds_leave_one_library(self, tmp_path):
@@ -195,7 +196,7 @@ def test_import_neither_builds_nor_loads_the_kernel():
         import sys
         import repro.sim, repro.serve
         with open("/proc/self/maps", encoding="utf-8") as maps:
-            mapped = "_olh_kernel" in maps.read()
+            mapped = "protocols/__pycache__/_kernel-" in maps.read()
         print("repro.protocols.kernel" in sys.modules, mapped)
         """
     )

@@ -591,7 +591,7 @@ class TestSourceDigest:
             assert source_digest(tree) != before, module
 
     def test_digest_tracks_compiled_kernel_source(self, tmp_path):
-        """The C of the OLH scan kernel is code trials run: editing it
+        """The C of the compiled kernel is code trials run: editing it
         must invalidate the cache, while a lint/ edit still must not."""
         import repro.sim.cache as cache_module
 
@@ -600,7 +600,7 @@ class TestSourceDigest:
             pathlib.Path(cache_module.__file__).resolve().parent.parent, tree,
             ignore=shutil.ignore_patterns("__pycache__"),
         )
-        kernel_source = tree / "protocols" / "_olh_kernel.c"
+        kernel_source = tree / "protocols" / "_kernel.c"
         assert kernel_source in cache_module._source_files(tree)
         original = cache_module._compute_source_digest(tree)
         kernel_source.write_text(kernel_source.read_text(encoding="utf-8") + "/* edit */\n")

@@ -47,7 +47,7 @@ def test_mypy_config_is_pinned():
 
 
 def test_compiled_kernel_loader_is_in_the_gate():
-    """The ctypes loader of the OLH kernel is type-checked: it lives in a
+    """The ctypes loader of the compiled kernel is type-checked: it lives in a
     package the gate lists (a second, file-level entry for it would be a
     duplicate module to mypy)."""
     config = (REPO_ROOT / "mypy.ini").read_text()
